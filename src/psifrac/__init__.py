@@ -6,7 +6,6 @@ Mittag-Leffler families, weighted-space bound constants, a Picard solver
 for fractional Volterra integral equations, and a CSV-emitting CLI.
 """
 
-from ._quadrature import backend_name, set_backend
 from .closed_forms import (
     PowerFunctionSpec,
     composition_remainder,
@@ -60,8 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "backend_name",
-    "set_backend",
     # kernels
     "PsiKernel",
     "KernelReport",

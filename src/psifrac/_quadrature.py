@@ -1,15 +1,17 @@
-"""Product-integration kernels on uniform tau grids.
+"""Product-integration rules on uniform tau grids.
 
-Two rules, both exact for their piecewise model integrated against the
-weight (tau_i - tau)^{s-1}:
+Both rules integrate the piecewise-linear interpolant of nodal values
+exactly against the weight (tau_i - tau)^{s-1}/Gamma(s):
 
-* ``fracint_values``  -- piecewise-linear interpolant of nodal values,
-* ``fracint_slopes``  -- piecewise-constant derivative of that interpolant
-  (the building block for the derivative-type operators).
+* ``fracint_slopes``  -- I^s of the interpolant's piecewise-constant
+  derivative (the building block for the derivative-type operators),
+* ``fracint_values``  -- I^s of the interpolant itself, summed by parts:
+  the interpolant is f(a) plus the integral of its slopes, so
+  ``I^s[interp] = f(a) z^s/Gamma(s+1) + I^{s+1}[slopes]``.
 
-Both reduce to causal convolutions with precomputed weight tables, which is
-the hot O(n^2) loop of the whole package.  The loop runs through numba when
-available; set ``PSIFRAC_BACKEND=numpy`` (or ``numba``) to force a backend.
+The slope integral is a causal convolution with the table
+m^s - (m-1)^s, the hot O(n^2) loop of the whole package; it runs through
+``np.convolve``.
 
 ``fracint_slopes`` additionally carries a starting correction over the
 first few cells: nodal data are refit there with a sqrt(z) term and the
@@ -22,15 +24,12 @@ fractional operators produce.
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc
 
 __all__ = [
-    "backend_name",
-    "set_backend",
     "fracint_values",
     "fracint_slopes",
     "trapezoid_cumulative",
@@ -39,95 +38,6 @@ __all__ = [
 
 # cells refit with the sqrt term; fixed, so operators stay linear in f
 CORRECTION_CELLS = 8
-
-
-def _conv_numpy(x: np.ndarray, w: np.ndarray, nout: int) -> np.ndarray:
-    return np.convolve(x, w)[:nout]
-
-
-try:  # pragma: no cover - exercised via backend tests
-    from numba import njit
-
-    @njit(cache=True, fastmath=True)
-    def _conv_numba_impl(x, w, out):  # pragma: no cover - compiled
-        # scatter by weight index: the inner loop is contiguous, so it
-        # vectorizes; only the first nout outputs are ever formed
-        nout = out.size
-        nx = x.size
-        out[:] = 0.0
-        mmax = w.size if w.size < nout else nout
-        for m in range(mmax):
-            wm = w[m]
-            if wm != 0.0:
-                hi = nx if nx < nout - m else nout - m
-                for j in range(hi):
-                    out[m + j] += wm * x[j]
-        return out
-
-    def _conv_numba(x: np.ndarray, w: np.ndarray, nout: int) -> np.ndarray:
-        out = np.empty(nout)
-        return _conv_numba_impl(
-            np.ascontiguousarray(x), np.ascontiguousarray(w), out
-        )
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _conv_numba = None
-    _HAVE_NUMBA = False
-
-
-def _pick_backend(name: str | None):
-    if name is None:
-        name = os.environ.get("PSIFRAC_BACKEND", "").strip().lower() or None
-    if name is None:
-        name = "numba" if _HAVE_NUMBA else "numpy"
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return name, _conv_numba
-    if name == "numpy":
-        return name, _conv_numpy
-    raise ValueError(f"unknown backend {name!r} (use 'numba' or 'numpy')")
-
-
-_BACKEND_NAME, _conv = _pick_backend(None)
-
-
-def backend_name() -> str:
-    return _BACKEND_NAME
-
-
-def set_backend(name: str) -> str:
-    """Switch the convolution backend ('numba' or 'numpy'); returns old name."""
-    global _BACKEND_NAME, _conv
-    old = _BACKEND_NAME
-    _BACKEND_NAME, _conv = _pick_backend(name)
-    return old
-
-
-@lru_cache(maxsize=128)
-def _pwlinear_kernel(s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution kernel d and boundary column B for the value rule.
-
-    Over cell m (counted back from the evaluation node), the linear model
-    contributes a_m to the far node and b_m to the near node:
-        a_m = (m^{s+1}-(m-1)^{s+1})/(s+1) - (m-1)(m^s-(m-1)^s)/s
-        b_m = m(m^s-(m-1)^s)/s - (m^{s+1}-(m-1)^{s+1})/(s+1)
-    Both are nonnegative for s > 0, which gives discrete positivity.
-    """
-    m = np.arange(0, n + 2, dtype=float)
-    mp = m**s
-    mp1 = m ** (s + 1.0)
-    a = np.zeros(n + 2)
-    b = np.zeros(n + 2)
-    a[1:] = (mp1[1:] - mp1[:-1]) / (s + 1.0) - m[:-1] * (mp[1:] - mp[:-1]) / s
-    b[1:] = m[1:] * (mp[1:] - mp[:-1]) / s - (mp1[1:] - mp1[:-1]) / (s + 1.0)
-    d = a[: n + 1].copy()
-    d[0] = 0.0
-    d += b[1 : n + 2]
-    d.setflags(write=False)
-    b.setflags(write=False)
-    return d, b
 
 
 @lru_cache(maxsize=128)
@@ -139,13 +49,26 @@ def _pwconst_kernel(s: float, n: int) -> np.ndarray:
     return v
 
 
+def _zpow(n: int, h: float, exponent: float) -> np.ndarray:
+    """(tau_j - tau_0)^exponent with a finite 0.0 stored at the base node
+    for negative exponents (the true value there is infinite)."""
+    out = np.zeros(n + 1)
+    out[1:] = (np.arange(1, n + 1, dtype=float) * h) ** exponent
+    return out
+
+
+def _slope_integral(values: np.ndarray, s: float, h: float) -> np.ndarray:
+    """I^s of the interpolant's piecewise-constant slopes, s > 0."""
+    n = values.size - 1
+    out = np.convolve(np.diff(values) / h, _pwconst_kernel(float(s), n))[: n + 1]
+    out *= h**s / math.gamma(s + 1.0)
+    return out
+
+
 def fracint_values(values: np.ndarray, s: float, h: float) -> np.ndarray:
     """I^s of the piecewise-linear interpolant of ``values``; zero at node 0."""
-    n = values.size - 1
-    d, b = _pwlinear_kernel(float(s), n)
-    out = _conv(values, d, n + 1)
-    out -= b[1 : n + 2] * values[0]
-    out *= h**s / math.gamma(s)
+    out = _slope_integral(values, s + 1.0, h)
+    out += (values[0] / math.gamma(s + 1.0)) * _zpow(values.size - 1, h, s)
     return out
 
 
@@ -155,9 +78,7 @@ def trapezoid_cumulative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _halfpow_correction(
-    values: np.ndarray, s: float, h: float, ncells: int
-) -> np.ndarray:
+def _halfpow_correction(values: np.ndarray, s: float, h: float) -> np.ndarray:
     """Exactness correction for sqrt(z) content in the first cells.
 
     Cell j is refit through nodes {j, j+1, j+2} with  f0 + a sqrt(z) + b z;
@@ -169,7 +90,7 @@ def _halfpow_correction(
     corr = np.zeros(n + 1)
     inv_gamma_s = 1.0 / math.gamma(s)
     beta_half_s = math.gamma(0.5) * math.gamma(s) / math.gamma(0.5 + s)
-    for j in range(min(ncells, n - 1)):
+    for j in range(min(CORRECTION_CELLS, n - 1)):
         z0 = j * h
         z1 = (j + 1) * h
         r0 = math.sqrt(z0)
@@ -198,28 +119,19 @@ def _halfpow_correction(
     return corr
 
 
-def fracint_slopes(
-    values: np.ndarray,
-    s: float,
-    h: float,
-    correction_cells: int | None = None,
-) -> np.ndarray:
+def fracint_slopes(values: np.ndarray, s: float, h: float) -> np.ndarray:
     """I^s of the interpolant's derivative (piecewise-constant slopes).
 
-    This is the exact tau-derivative of ``fracint_values(values, s+1)`` and
-    the single quadrature behind every derivative-type operator.
+    Up to the start correction, this is the exact tau-derivative of
+    ``fracint_values(values, s)`` less its base-point term
+    f(a) z^{s-1}/Gamma(s), and the single quadrature behind every
+    derivative-type operator.
     """
-    n = values.size - 1
-    slopes = np.diff(values) / h
     if s == 0.0:
         # I^0 of the slope function: backward difference quotients
-        out = np.zeros(n + 1)
-        out[1:] = slopes
+        out = np.zeros(values.size)
+        out[1:] = np.diff(values) / h
         return out
-    v = _pwconst_kernel(float(s), n)
-    out = _conv(slopes, v, n + 1)
-    out *= h**s / math.gamma(s + 1.0)
-    ncells = CORRECTION_CELLS if correction_cells is None else correction_cells
-    if ncells > 0:
-        out += _halfpow_correction(values, s, h, ncells)
+    out = _slope_integral(values, s, h)
+    out += _halfpow_correction(values, s, h)
     return out

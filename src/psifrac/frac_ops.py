@@ -88,18 +88,6 @@ def _emit(f: SampledFunction, out: np.ndarray, side: str) -> SampledFunction:
     return f.with_values(out if side == "left" else out[::-1])
 
 
-def _zpow(n: int, h: float, exponent: float) -> np.ndarray:
-    """(tau_j - tau_0)^exponent with a finite 0.0 stored at the base node
-    for negative exponents (the true value there is infinite)."""
-    z = np.arange(0, n + 1, dtype=float) * h
-    out = np.zeros(n + 1)
-    if exponent == 0.0:
-        out[:] = 1.0
-    else:
-        out[1:] = z[1:] ** exponent
-    return out
-
-
 def _require_resolution(f: SampledFunction):
     if f.grid.n < 4:
         raise ResolutionError(
@@ -148,7 +136,7 @@ def psi_rl_derivative(
     h = f.grid.h
     out = quad.fracint_slopes(g, 1.0 - p_mu, h)
     if g[0] != 0.0:
-        out += (g[0] * reciprocal_gamma(1.0 - p_mu)) * _zpow(f.grid.n, h, -p_mu)
+        out += (g[0] * reciprocal_gamma(1.0 - p_mu)) * quad._zpow(f.grid.n, h, -p_mu)
     return _emit(f, out, side)
 
 
@@ -167,7 +155,7 @@ def psi_hilfer_derivative(
     out = quad.fracint_slopes(g, 1.0 - p.mu, h)
     inner = (1.0 - p.nu) * (1.0 - p.mu)
     if inner > 0.0 and g[0] != 0.0:
-        out += (g[0] * reciprocal_gamma(1.0 - p.mu)) * _zpow(f.grid.n, h, -p.mu)
+        out += (g[0] * reciprocal_gamma(1.0 - p.mu)) * quad._zpow(f.grid.n, h, -p.mu)
     return _emit(f, out, side)
 
 
@@ -187,7 +175,7 @@ def psi_frac_integral(
     h = f.grid.h
     out = quad.fracint_slopes(g, 1.0 + p.mu, h)
     if g[0] != 0.0:
-        out += (g[0] * reciprocal_gamma(1.0 + p.mu)) * _zpow(f.grid.n, h, p.mu)
+        out += (g[0] * reciprocal_gamma(1.0 + p.mu)) * quad._zpow(f.grid.n, h, p.mu)
     out[0] = 0.0
     return _emit(f, out, side)
 

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psifrac import (
     FracParams,
@@ -18,10 +21,8 @@ from psifrac import (
     psi_integral_order1,
     psi_rl_derivative,
     relative_sup_error,
-    set_backend,
-    backend_name,
 )
-from psifrac._quadrature import _pwlinear_kernel
+from psifrac._quadrature import fracint_values
 
 from conftest import power_values, sample
 
@@ -84,17 +85,54 @@ class TestPsiIntegral:
         assert np.max(np.abs(out.values - ref)) <= 1e-12
         assert out.values[-1] == 0.0
 
-    def test_discrete_positivity(self):
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0])
+    def test_discrete_positivity(self, s):
         rng = np.random.default_rng(7)
         grid = identity_grid(128)
         f = SampledFunction(grid, rng.uniform(0.0, 2.0, 129))
-        out = psi_integral(f, 0.7)
+        out = psi_integral(f, s)
         assert np.all(out.values >= -1e-14)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 1.0, 1.5, 2.0])
     def test_weights_nonnegative(self, s):
-        d, b = _pwlinear_kernel(s, 64)
-        assert np.all(d >= 0) and np.all(b >= 0)
+        # column k is the rule's response to a unit value at node k, i.e.
+        # its weight on node k at every evaluation node
+        w = np.column_stack([fracint_values(e, s, 1.0) for e in np.eye(65)])
+        assert np.all(w >= 0.0)
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        s=st.floats(0.05, 2.0),
+        n=st.integers(1, 96),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_rule_matches_cellwise_reference(self, s, n, seed):
+        # per-cell exact integral of the linear model: over cell m, counted
+        # back from the evaluation node, the far node gets a_m, the near b_m;
+        # both cancel in double precision, so they are formed at 30 digits
+        values = np.random.default_rng(seed).standard_normal(n + 1)
+        h = 1.0 / n
+        a = np.zeros(n)
+        b = np.zeros(n)
+        with mpmath.workdps(30):
+            sm = mpmath.mpf(s)
+            for k in range(n):
+                m = mpmath.mpf(k + 1)
+                dp = m**sm - (m - 1) ** sm
+                dp1 = (m ** (sm + 1) - (m - 1) ** (sm + 1)) / (sm + 1)
+                a[k] = dp1 - (m - 1) * dp / sm
+                b[k] = m * dp / sm - dp1
+        assert np.all(a >= 0.0) and np.all(b >= 0.0)
+        # row i of w holds the weights of every node at evaluation node i
+        w = np.zeros((n + 1, n + 1))
+        for i in range(1, n + 1):
+            w[i, :i] += a[i - 1 :: -1]
+            w[i, 1 : i + 1] += b[i - 1 :: -1]
+        w *= h**s / G(s)
+        out = fracint_values(values, s, h)
+        # rounding scales with the summed magnitudes, not with the sum,
+        # which mixed-sign data can make small
+        assert np.max(np.abs(out - w @ values)) <= 1e-12 * np.max(w @ np.abs(values))
 
     @pytest.mark.parametrize("s", [0.2, 0.5, 1.0, 1.3, 2.0])
     def test_exact_on_linear_data(self, s):
@@ -397,24 +435,3 @@ class TestKernelInvariance:
         z = grid.tau_nodes - grid.tau_nodes[0]
         ref = G(1.5) / G(2.0) * z
         assert relative_sup_error(out, ref) <= 5e-3
-
-
-def test_backends_agree():
-    grid = identity_grid(512)
-    f = power_values(grid, 1.5)
-    p = FracParams(0.5, 0.5)
-    old = backend_name()
-    try:
-        set_backend("numpy")
-        a = psi_frac_integral(f, p).values
-        b_int = psi_integral(f, 0.7).values
-        try:
-            set_backend("numba")
-        except RuntimeError:
-            pytest.skip("numba unavailable")
-        c = psi_frac_integral(f, p).values
-        d_int = psi_integral(f, 0.7).values
-    finally:
-        set_backend(old)
-    assert np.max(np.abs(a - c)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
-    assert np.max(np.abs(b_int - d_int)) <= 1e-12 * max(1.0, np.max(np.abs(b_int)))

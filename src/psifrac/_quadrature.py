@@ -10,8 +10,11 @@ exactly against the weight (tau_i - tau)^{s-1}/Gamma(s):
   ``I^s[interp] = f(a) z^s/Gamma(s+1) + I^{s+1}[slopes]``.
 
 The slope integral is a causal convolution with the table
-m^s - (m-1)^s, the hot O(n^2) loop of the whole package; it runs through
-``np.convolve``.
+m^s - (m-1)^s.  Its first ``_DIRECT_N + 1`` outputs are summed directly
+(``np.convolve``); the rest come from one zero-padded real FFT, so the
+operator costs O(n log n).  The direct near field keeps the small values
+next to the base point accurate to their own size, which an FFT alone,
+whose error scales with the largest product, does not.
 
 ``fracint_slopes`` additionally carries a starting correction over the
 first few cells: nodal data are refit there with a sqrt(z) term and the
@@ -39,6 +42,10 @@ __all__ = [
 # cells refit with the sqrt term; fixed, so operators stay linear in f
 CORRECTION_CELLS = 8
 
+# outputs 0.._DIRECT_N are the direct sum; also the size from which the FFT
+# is used (at n = 1024 both take about 0.1 ms)
+_DIRECT_N = 1024
+
 
 @lru_cache(maxsize=128)
 def _pwconst_kernel(s: float, n: int) -> np.ndarray:
@@ -60,7 +67,17 @@ def _zpow(n: int, h: float, exponent: float) -> np.ndarray:
 def _slope_integral(values: np.ndarray, s: float, h: float) -> np.ndarray:
     """I^s of the interpolant's piecewise-constant slopes, s > 0."""
     n = values.size - 1
-    out = np.convolve(np.diff(values) / h, _pwconst_kernel(float(s), n))[: n + 1]
+    d = np.diff(values) / h
+    w = _pwconst_kernel(float(s), n)
+    m = min(n, _DIRECT_N)
+    near = np.convolve(d[:m], w[: m + 1])[: m + 1]
+    if n > _DIRECT_N:
+        # L >= 2n: no circular wrap-around reaches the kept outputs
+        L = 1 << (2 * n - 1).bit_length()
+        out = np.fft.irfft(np.fft.rfft(d, L) * np.fft.rfft(w, L), L)[: n + 1]
+        out[: m + 1] = near
+    else:
+        out = near
     out *= h**s / math.gamma(s + 1.0)
     return out
 

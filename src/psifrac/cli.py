@@ -39,6 +39,16 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _csv_rows(xs: np.ndarray, vs: np.ndarray) -> list[str]:
+    """Two-column CSV rows, each cell formatted as ``_fmt`` does.
+
+    A memoryview yields the float64 entries as Python floats one at a time:
+    faster than per-row ``float()`` calls, and unlike ``tolist()`` it holds
+    no second copy of the columns while the rows are built.
+    """
+    return list(map("{:.17g},{:.17g}".format, memoryview(xs), memoryview(vs)))
+
+
 def _write_lines(lines, out_path: str | None):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -234,7 +244,7 @@ def _cmd_op(args):
     else:
         out = psi_frac_integral(f, FracParams(args.mu, args.nu), args.side)
     lines = ["x,value"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid.x_nodes, out.values)]
+    lines += _csv_rows(grid.x_nodes, out.values)
     _write_lines(lines, args.out)
     return 0
 
@@ -329,7 +339,7 @@ def _cmd_volterra(args):
         print("\n".join(log_lines), file=sys.stderr)
     grid = trace.solution.grid
     lines = ["x,value"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid.x_nodes, trace.solution.values)]
+    lines += _csv_rows(grid.x_nodes, trace.solution.values)
     _write_lines(lines, args.out)
     return 0 if trace.converged else 1
 
@@ -345,7 +355,7 @@ def _cmd_malthus(args):
     )
     ts, ns = models.malthus_curve(spec, args.steps)
     lines = ["t,N"]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(ts, ns)]
+    lines += _csv_rows(ts, ns)
     _write_lines(lines, args.out)
     return 0
 

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from psifrac.cli import main
+import psifrac
+from psifrac.cli import _csv_rows, _fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -102,10 +108,12 @@ class TestErrorPaths:
 
 
 class TestDeterminism:
-    def test_op_byte_identical(self, capsys):
+    # n=2048 runs the FFT far field of the slope integral
+    @pytest.mark.parametrize("n", ["128", "2048"])
+    def test_op_byte_identical(self, capsys, n):
         argv = (
             "op", "--kind", "psi-frac", "--mu", "0.3", "--nu", "0.7",
-            "--kernel", "sqrt_shift:1", "--a", "0", "--b", "3", "--n", "128",
+            "--kernel", "sqrt_shift:1", "--a", "0", "--b", "3", "--n", n,
             "--f", "power:1.5",
         )
         _, out1, _ = run_cli(capsys, *argv)
@@ -118,6 +126,32 @@ class TestDeterminism:
         run_cli(capsys, "figures", "--out-dir", str(d2))
         for name in ("fig1.csv", "fig2.csv", "fig3.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+class TestCsvRows:
+    def test_matches_per_row_fmt(self):
+        xs = np.array([0.0, -0.0, 5e-324, 1e308, -math.inf, 1.0 / 3.0, math.nan])
+        vs = np.array([math.nan, math.inf, -1e308, -5e-324, 0.1, -0.0, 123456.789])
+        # the per-row form each CSV command used before the helper
+        ref = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vs)]
+        assert _csv_rows(xs, vs) == ref
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy_signal_or_fft(self):
+        # scipy.signal roughly doubles the CLI's import time; the slope
+        # integral's FFT is numpy.fft, which numpy itself loads
+        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
+        code = (
+            "import sys, psifrac, psifrac.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'fft'])))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert run.stdout.strip() == "[]"
 
 
 class TestConfigFile:

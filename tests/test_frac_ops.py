@@ -22,7 +22,8 @@ from psifrac import (
     psi_rl_derivative,
     relative_sup_error,
 )
-from psifrac._quadrature import fracint_values
+from psifrac._quadrature import _pwconst_kernel, _slope_integral, fracint_values
+from psifrac.frac_ops import SKIP_BASE_NODES
 
 from conftest import power_values, sample
 
@@ -32,6 +33,9 @@ G = math.gamma
 def identity_grid(n=2048, b=1.0):
     kernel = make_builtin("identity", (), (0.0, b))
     return TransformedGrid.build(kernel, 0.0, b, n)
+
+
+POSITIVITY_ORDERS = (0.1, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0)
 
 
 class TestFracParams:
@@ -85,11 +89,17 @@ class TestPsiIntegral:
         assert np.max(np.abs(out.values - ref)) <= 1e-12
         assert out.values[-1] == 0.0
 
-    @pytest.mark.parametrize("s", [0.1, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0])
-    def test_discrete_positivity(self, s):
+    # n=4096 runs the FFT far field; the n=128 cases keep their old ids
+    @pytest.mark.parametrize(
+        "s, n",
+        [(s, n) for n in (128, 4096) for s in POSITIVITY_ORDERS],
+        ids=[f"{s}" for s in POSITIVITY_ORDERS]
+        + [f"{s}-n4096" for s in POSITIVITY_ORDERS],
+    )
+    def test_discrete_positivity(self, s, n):
         rng = np.random.default_rng(7)
-        grid = identity_grid(128)
-        f = SampledFunction(grid, rng.uniform(0.0, 2.0, 129))
+        grid = identity_grid(n)
+        f = SampledFunction(grid, rng.uniform(0.0, 2.0, n + 1))
         out = psi_integral(f, s)
         assert np.all(out.values >= -1e-14)
 
@@ -161,6 +171,45 @@ class TestPsiIntegral:
         assert np.max(np.abs(out.values[1:] - ref[1:])) <= 1e-12 * max(
             1.0, float(np.max(np.abs(ref[1:])))
         )
+
+
+class TestSlopeIntegral:
+    """The slope integral (direct near field, FFT far field above n=1024)
+    against the direct causal sum ``np.convolve`` as the reference."""
+
+    @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
+    @pytest.mark.parametrize("n", [1025, 3000, 5001, 8192])
+    def test_fft_matches_direct_sum(self, n, s):
+        x = np.linspace(0.0, 1.0, n + 1)
+        h = 1.0 / n
+        scale = h**s / G(s + 1.0)
+        w = _pwconst_kernel(s, n)
+        data = {
+            "sin": np.sin(x),
+            "x^2.5": x**2.5,
+            "normal": np.random.default_rng(n).standard_normal(n + 1),
+        }
+        for name, values in data.items():
+            d = np.diff(values) / h
+            fast = _slope_integral(values, s, h)
+            ref = np.convolve(d, w)[: n + 1] * scale
+            # FFT rounding scales with the summed magnitudes W|d|, not with
+            # the sum, which mixed-sign data can make small
+            bound = 1e-13 * np.max(np.convolve(np.abs(d), w)[: n + 1]) * scale
+            assert np.max(np.abs(fast - ref)) <= bound, name
+            if name != "normal":
+                k = SKIP_BASE_NODES
+                rel = np.abs(fast[k:] - ref[k:]) / np.abs(ref[k:])
+                assert np.max(rel) <= 1e-9, name
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 1024])
+    def test_direct_sum_up_to_crossover(self, n):
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        h = 1.0 / n
+        for s in (0.05, 0.5, 1.5, 1.95):
+            ref = np.convolve(np.diff(values) / h, _pwconst_kernel(s, n))[: n + 1]
+            ref *= h**s / G(s + 1.0)
+            assert np.array_equal(_slope_integral(values, s, h), ref)
 
 
 class TestOrderOneIntegral:

@@ -21,7 +21,8 @@ first few cells: nodal data are refit there with a sqrt(z) term and the
 residual against the piecewise model is integrated exactly.  Without it any
 polynomial cell model keeps an n-independent relative error a few nodes
 from the base point whenever the data carry the z^(1/2)-type behaviour that
-fractional operators produce.
+fractional operators produce.  The correction's chord half is the shared
+table, and each cell boundary's incomplete beta is computed once.
 """
 
 from __future__ import annotations
@@ -56,12 +57,13 @@ def _pwconst_kernel(s: float, n: int) -> np.ndarray:
     return v
 
 
-def _zpow(n: int, h: float, exponent: float) -> np.ndarray:
-    """(tau_j - tau_0)^exponent with a finite 0.0 stored at the base node
-    for negative exponents (the true value there is infinite)."""
-    out = np.zeros(n + 1)
-    out[1:] = (np.arange(1, n + 1, dtype=float) * h) ** exponent
-    return out
+def _base_term(f0: float, e: float, n: int, h: float) -> np.ndarray:
+    """f0 z^e / Gamma(e + 1), z = tau_j - tau_0: the base-point term of
+    every operator.  A finite 0.0 is stored at the base node for negative
+    exponents (the true value there is infinite)."""
+    z = np.zeros(n + 1)
+    z[1:] = (np.arange(1, n + 1, dtype=float) * h) ** e
+    return (f0 / math.gamma(e + 1.0)) * z
 
 
 def _slope_integral(values: np.ndarray, s: float, h: float) -> np.ndarray:
@@ -85,7 +87,7 @@ def _slope_integral(values: np.ndarray, s: float, h: float) -> np.ndarray:
 def fracint_values(values: np.ndarray, s: float, h: float) -> np.ndarray:
     """I^s of the piecewise-linear interpolant of ``values``; zero at node 0."""
     out = _slope_integral(values, s + 1.0, h)
-    out += (values[0] / math.gamma(s + 1.0)) * _zpow(values.size - 1, h, s)
+    out += _base_term(values[0], s, values.size - 1, h)
     return out
 
 
@@ -101,38 +103,28 @@ def _halfpow_correction(values: np.ndarray, s: float, h: float) -> np.ndarray:
     Cell j is refit through nodes {j, j+1, j+2} with  f0 + a sqrt(z) + b z;
     the correction integrates a * d/dz[sqrt(z) - its chord] against the
     weight, leaving the piecewise-constant base rule untouched elsewhere.
-    Linear in the data, so operator linearity is preserved exactly.
+    On unit spacing each cell's column is data-independent: the incomplete
+    beta at its two ends (each boundary evaluated once) less the chord
+    slope times the shared table.  Linear in the data, so operator
+    linearity is preserved exactly.
     """
     n = values.size - 1
+    cells = min(CORRECTION_CELLS, n - 1)
     corr = np.zeros(n + 1)
-    inv_gamma_s = 1.0 / math.gamma(s)
-    beta_half_s = math.gamma(0.5) * math.gamma(s) / math.gamma(0.5 + s)
-    for j in range(min(CORRECTION_CELLS, n - 1)):
-        z0 = j * h
-        z1 = (j + 1) * h
-        r0 = math.sqrt(z0)
-        r1 = math.sqrt(z1)
-        r2 = math.sqrt((j + 2) * h)
-        f0, f1, f2 = values[j], values[j + 1], values[j + 2]
-        det = (r1 - r0) * 2.0 * h - (r2 - r0) * h
-        a = ((f1 - f0) * 2.0 * h - (f2 - f0) * h) / det
-        if a == 0.0:
-            continue
-        tk = np.arange(j + 1, n + 1, dtype=float) * h
-        x0 = z0 / tk
-        x1 = np.minimum(z1 / tk, 1.0)
-        # int_{z0}^{z1} (tk-u)^{s-1} u^{-1/2} du via the incomplete beta
-        i_inv_sqrt = (
-            tk ** (s - 0.5)
-            * (betainc(0.5, s, x1) - betainc(0.5, s, x0))
-            * beta_half_s
-        )
-        w0 = tk - z0
-        w1 = np.maximum(tk - z1, 0.0)
-        i_flat = (w0**s - w1**s) / s
-        corr[j + 1 :] += (a * inv_gamma_s) * (
-            0.5 * i_inv_sqrt - (r1 - r0) / h * i_flat
-        )
+    r = np.sqrt(np.arange(cells + 2, dtype=float))
+    a = np.diff(values[: cells + 2], 2) / np.diff(r, 2)
+    k = np.arange(1, n + 1, dtype=float)
+    # int_j^{j+1} (k-v)^{s-1} v^{-1/2} dv = k^{s-1/2} B(1/2,s) [I_{(j+1)/k} - I_{j/k}]
+    half_beta = 0.5 * math.gamma(0.5) * math.gamma(s) / math.gamma(0.5 + s)
+    scale = half_beta * k ** (s - 0.5)
+    w = _pwconst_kernel(float(s), n)
+    left = np.zeros(n)
+    for j in range(cells):
+        right = betainc(0.5, s, (j + 1) / k[j:])
+        col = scale[j:] * (right - left) - ((r[j + 1] - r[j]) / s) * w[1 : n - j + 1]
+        corr[j + 1 :] += a[j] * col
+        left = right[1:]
+    corr *= h ** (s - 1.0) / math.gamma(s)
     return corr
 
 

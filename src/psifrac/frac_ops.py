@@ -36,7 +36,6 @@ import numpy as np
 from . import _quadrature as quad
 from .errors import ResolutionError
 from .grids import SampledFunction
-from .specfun import reciprocal_gamma
 
 __all__ = [
     "FracParams",
@@ -136,7 +135,7 @@ def psi_rl_derivative(
     h = f.grid.h
     out = quad.fracint_slopes(g, 1.0 - p_mu, h)
     if g[0] != 0.0:
-        out += (g[0] * reciprocal_gamma(1.0 - p_mu)) * quad._zpow(f.grid.n, h, -p_mu)
+        out += quad._base_term(g[0], -p_mu, f.grid.n, h)
     return _emit(f, out, side)
 
 
@@ -155,7 +154,7 @@ def psi_hilfer_derivative(
     out = quad.fracint_slopes(g, 1.0 - p.mu, h)
     inner = (1.0 - p.nu) * (1.0 - p.mu)
     if inner > 0.0 and g[0] != 0.0:
-        out += (g[0] * reciprocal_gamma(1.0 - p.mu)) * quad._zpow(f.grid.n, h, -p.mu)
+        out += quad._base_term(g[0], -p.mu, f.grid.n, h)
     return _emit(f, out, side)
 
 
@@ -175,7 +174,7 @@ def psi_frac_integral(
     h = f.grid.h
     out = quad.fracint_slopes(g, 1.0 + p.mu, h)
     if g[0] != 0.0:
-        out += (g[0] * reciprocal_gamma(1.0 + p.mu)) * quad._zpow(f.grid.n, h, p.mu)
+        out += quad._base_term(g[0], p.mu, f.grid.n, h)
     out[0] = 0.0
     return _emit(f, out, side)
 
@@ -243,8 +242,3 @@ def limit_probe(f: SampledFunction, regime: str) -> LimitProbeReport:
         dists.append(d)
     monotone = all(dists[i] >= dists[i + 1] for i in range(len(dists) - 1))
     return LimitProbeReport(regime, params, dists, monotone, ref_name)
-
-
-# default grid tolerances for oracle comparisons at n = 2048
-TOL_SINGLE_STAGE = 5e-3
-TOL_COMPOSED = 2e-2

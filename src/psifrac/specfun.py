@@ -38,14 +38,6 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), defined as 0 at the poles (entire continuation)."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        return 0.0
-    return 1.0 / gamma(x)
-
-
 @dataclass(frozen=True)
 class MLParams:
     """Parameters of E_{alpha,beta} plus series truncation controls.
@@ -79,8 +71,9 @@ def mittag_leffler_terms(params: MLParams, z: float) -> tuple[float, int]:
     """Evaluate E_{alpha,beta}(z) returning (value, number_of_terms).
 
     Stops at term k once |term_k| <= tol * |partial_sum| and k >= 5; term
-    magnitudes are formed in log space so large k cannot overflow.  Raises
-    MLConvergenceError (carrying the partial sum) if max_terms is exhausted.
+    magnitudes are formed in log space.  Raises MLConvergenceError (carrying
+    the partial sum, inf if the sum itself overflowed) if max_terms is
+    exhausted or a term or the sum overflows float64.
     """
     z = float(z)
     if params.alpha == 0.0:
@@ -99,15 +92,27 @@ def mittag_leffler_terms(params: MLParams, z: float) -> tuple[float, int]:
     term = 0.0
     for k in range(params.max_terms):
         log_mag = k * log_abs_z - math.lgamma(params.alpha * k + params.beta)
-        term = (sign_z ** k) * math.exp(log_mag)
+        try:
+            term = (sign_z ** k) * math.exp(log_mag)
+        except OverflowError:
+            break
         total += term
         if k >= _MIN_TERMS and abs(term) <= params.tol * abs(total):
+            if math.isinf(total):
+                break
             return total, k + 1
+    else:
+        raise MLConvergenceError(
+            f"E_{{{params.alpha:g},{params.beta:g}}}({z:g}) did not converge in "
+            f"{params.max_terms} terms (last term {term:g})",
+            partial_sum=total,
+            terms=params.max_terms,
+        )
     raise MLConvergenceError(
-        f"E_{{{params.alpha:g},{params.beta:g}}}({z:g}) did not converge in "
-        f"{params.max_terms} terms (last term {term:g})",
+        f"E_{{{params.alpha:g},{params.beta:g}}}({z:g}) overflows float64 "
+        f"at term {k}",
         partial_sum=total,
-        terms=params.max_terms,
+        terms=k,
     )
 
 

@@ -57,15 +57,11 @@ class VolterraProblem:
 
 @dataclass
 class PicardTrace:
-    iterates: list
+    solution: SampledFunction
     sup_diffs: list
     converged: bool
     iterations: int
     residual: float = float("nan")
-
-    @property
-    def solution(self) -> SampledFunction:
-        return self.iterates[-1]
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,6 @@ def picard_solve(
     if x.grid != grid:
         raise ValueError("x0 must live on the problem grid")
 
-    iterates = [x]
     sup_diffs: list[float] = []
     converged = False
     for k in range(1, max_iter + 1):
@@ -147,7 +142,6 @@ def picard_solve(
         x_new = SampledFunction(grid, new_vals)
         diff = float(np.max(np.abs(x_new.values - x.values)))
         sup_diffs.append(diff)
-        iterates.append(x_new)
         x = x_new
         if diff <= tol:
             converged = True
@@ -157,7 +151,7 @@ def picard_solve(
         np.max(np.abs(x.values - (phi.values + _apply_operator(problem, grid, x))))
     )
     return PicardTrace(
-        iterates=iterates,
+        solution=x,
         sup_diffs=sup_diffs,
         converged=converged,
         iterations=len(sup_diffs),

@@ -219,6 +219,16 @@ class TestMalthusCommand:
             100 * math.exp(0.6), rel=1e-12
         )
 
+    def test_series_overflow_is_one_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "malthus", "--lambda", "-3", "--mu", "0.5", "--nu", "1",
+            "--t-max", "100", "--steps", "5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestFiguresCommand:
     def test_files_and_zero_row(self, tmp_path, capsys):

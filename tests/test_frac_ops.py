@@ -22,7 +22,13 @@ from psifrac import (
     psi_rl_derivative,
     relative_sup_error,
 )
-from psifrac._quadrature import _pwconst_kernel, _slope_integral, fracint_values
+from psifrac._quadrature import (
+    CORRECTION_CELLS,
+    _pwconst_kernel,
+    _slope_integral,
+    fracint_slopes,
+    fracint_values,
+)
 from psifrac.frac_ops import SKIP_BASE_NODES
 
 from conftest import power_values, sample
@@ -143,6 +149,50 @@ class TestPsiIntegral:
         # rounding scales with the summed magnitudes, not with the sum,
         # which mixed-sign data can make small
         assert np.max(np.abs(out - w @ values)) <= 1e-12 * np.max(w @ np.abs(values))
+
+    @settings(deadline=None, derandomize=True, max_examples=20)
+    @given(
+        s=st.floats(0.05, 2.0),
+        n=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slopes_rule_matches_cellwise_reference(self, s, n, seed):
+        # the slope rule integrates the piecewise-constant slopes exactly;
+        # on each correction cell the three-point refit's sqrt coefficient
+        # a scales the exact integral of the weight against
+        # d/du[sqrt(u) - its chord].  Formed cell by cell at 30 digits.
+        values = np.random.default_rng(seed).standard_normal(n + 1)
+        ref = np.zeros(n + 1)
+        scale = np.zeros(n + 1)
+        with mpmath.workdps(30):
+            sm = mpmath.mpf(s)
+            h = mpmath.mpf(1) / n
+            f = [mpmath.mpf(v) for v in values]
+            t = [i * h for i in range(n + 1)]
+            r = [mpmath.sqrt(ti) for ti in t]
+            a = [
+                ((f[j + 1] - f[j]) * 2 * h - (f[j + 2] - f[j]) * h)
+                / ((r[j + 1] - r[j]) * 2 * h - (r[j + 2] - r[j]) * h)
+                for j in range(min(CORRECTION_CELLS, n - 1))
+            ]
+            for i in range(1, n + 1):
+                total = absolute = mpmath.mpf(0)
+                for j in range(i):
+                    # int over cell j of (t_i - u)^(s-1) du
+                    flat = ((t[i] - t[j]) ** sm - (t[i] - t[j + 1]) ** sm) / sm
+                    slope = (f[j + 1] - f[j]) / h
+                    total += slope * flat
+                    absolute += abs(slope) * flat
+                    if j < len(a):
+                        inv_sqrt = t[i] ** (sm - 0.5) * mpmath.betainc(
+                            0.5, sm, t[j] / t[i], t[j + 1] / t[i]
+                        )
+                        chord = (r[j + 1] - r[j]) / h
+                        total += a[j] * (inv_sqrt / 2 - chord * flat)
+                ref[i] = total / mpmath.gamma(sm)
+                scale[i] = absolute / mpmath.gamma(sm)
+        out = fracint_slopes(values, s, 1.0 / n)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(scale)
 
     @pytest.mark.parametrize("s", [0.2, 0.5, 1.0, 1.3, 2.0])
     def test_exact_on_linear_data(self, s):

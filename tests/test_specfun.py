@@ -101,6 +101,18 @@ class TestMittagLeffler:
         assert info.value.terms == 3
         assert math.isfinite(info.value.partial_sum)
 
+    def test_overflow_raises_with_partial_sum(self):
+        # the alternating series of E_{1/2}(-30) has terms past 1e308
+        with pytest.raises(MLConvergenceError) as info:
+            mittag_leffler(MLParams(0.5), -30.0)
+        assert math.isfinite(info.value.partial_sum)
+        assert 0 < info.value.terms < MLParams(0.5).max_terms
+
+    def test_sum_overflow_raises(self):
+        # every term of E_1(712) is finite, their sum is not
+        with pytest.raises(MLConvergenceError):
+            mittag_leffler(MLParams(1.0), 712.0)
+
     def test_term_count_reported(self):
         value, terms = mittag_leffler_terms(MLParams(1.0), 1.0)
         assert value == pytest.approx(math.e, rel=1e-14)

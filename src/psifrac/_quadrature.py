@@ -51,8 +51,7 @@ _DIRECT_N = 1024
 @lru_cache(maxsize=128)
 def _pwconst_kernel(s: float, n: int) -> np.ndarray:
     v = np.zeros(n + 1)
-    m = np.arange(0, n + 1, dtype=float)
-    v[1:] = m[1:] ** s - m[:-1] ** s
+    v[1:] = np.diff(np.arange(0, n + 1, dtype=float) ** s)
     v.setflags(write=False)
     return v
 

@@ -5,7 +5,8 @@ figures.  All numeric output is CSV (comma separator, LF endings, header
 row, 17 significant digits) and deterministic for a fixed configuration.
 
 Options may also come from a flat config file of ``key = value`` lines via
-``--config``; explicit flags win over file entries.
+``--config``: each entry is parsed as a flag placed before the command
+line's flags, so explicit flags win over file entries.
 """
 
 from __future__ import annotations
@@ -57,8 +58,14 @@ def _write_lines(lines, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _load_config(path: str) -> dict:
-    table = {}
+def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """``--flag=value`` tokens for the ``key = value`` lines of a config file.
+
+    A key is an option's dest (``-`` read as ``_``); the subcommand's parser
+    converts and checks the values like command-line flags.
+    """
+    flags = {a.dest: a.option_strings[-1] for a in sub._actions if a.option_strings}
+    tokens = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,32 +73,11 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line is not 'key = value': {raw!r}")
         key, value = (tok.strip() for tok in line.split("=", 1))
-        table[key.replace("-", "_")] = value
-    return table
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill options that were left at their declared default from the file."""
-    if not getattr(args, "config", None):
-        return
-    table = _load_config(args.config)
-    sub = parser._psifrac_subs[args.command]
-    defaults = {a.dest: a.default for a in sub._actions}
-    for key, raw in table.items():
-        if key not in defaults:
+        key = key.replace("-", "_")
+        if key not in flags:
             raise ValueError(f"config key {key!r} does not match any option")
-        if vars(args)[key] != defaults[key]:
-            continue  # explicit flag wins
-        current = defaults[key]
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(args, key, value)
+        tokens.append(f"{flags[key]}={value}")
+    return tokens
 
 
 def _add_common(sub, kernel=True, interval=True, frac=True, grid=False):
@@ -115,18 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="fractional operators with respect to a kernel function",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    parser._psifrac_subs = {}
+    parser._psifrac_subs = subs.choices
 
-    def add_parser(name, **kw):
-        sub = subs.add_parser(name, **kw)
-        parser._psifrac_subs[name] = sub
-        return sub
-
-    p = add_parser("kernel", help="validate a kernel on a sample sweep")
+    p = subs.add_parser("kernel", help="validate a kernel on a sample sweep")
     _add_common(p, frac=False)
     p.add_argument("--samples", type=int, default=1000)
 
-    p = add_parser("ml", help="evaluate the Mittag-Leffler function")
+    p = subs.add_parser("ml", help="evaluate the Mittag-Leffler function")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--alpha", type=float, required=True)
@@ -135,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-15)
     p.add_argument("--max-terms", type=int, default=2000)
 
-    p = add_parser("op", help="apply an operator, emit CSV x,value")
+    p = subs.add_parser("op", help="apply an operator, emit CSV x,value")
     _add_common(p, grid=True)
     p.add_argument(
         "--kind",
@@ -145,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="one", help="function id (see README)")
     p.add_argument("--side", default="left", choices=("left", "right"))
 
-    p = add_parser("oracle", help="closed-form value at one point")
+    p = subs.add_parser("oracle", help="closed-form value at one point")
     _add_common(p, interval=False)
     p.add_argument(
         "--which",
@@ -157,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=1.5)
     p.add_argument("--lam", type=float, default=1.0)
 
-    p = add_parser("compare", help="oracle-vs-numeric sweep, CSV n,rel_error,observed_order")
+    p = subs.add_parser(
+        "compare", help="oracle-vs-numeric sweep, CSV n,rel_error,observed_order"
+    )
     _add_common(p)
     p.add_argument("--op", dest="opkind", required=True, choices=("integral", "hilfer", "psi-frac"))
     p.add_argument("--delta", type=float, default=1.5)
@@ -169,10 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed form to compare against (composed = contracted index algebra)",
     )
 
-    p = add_parser("bounds", help="print the constants s, K, A")
+    p = subs.add_parser("bounds", help="print the constants s, K, A")
     _add_common(p)
 
-    p = add_parser("volterra", help="Picard solve, CSV x,value (+ iteration log)")
+    p = subs.add_parser("volterra", help="Picard solve, CSV x,value (+ iteration log)")
     _add_common(p, grid=True)
     p.add_argument("--phi", default="one")
     p.add_argument("--w", default="zero", help="integrand id acting on the state")
@@ -180,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--log", default=None, help="iteration log path (default: stderr)")
 
-    p = add_parser("malthus", help="population curve, CSV t,N")
+    p = subs.add_parser("malthus", help="population curve, CSV t,N")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--kernel", default="identity")
@@ -191,11 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=200)
 
-    p = add_parser("figures", help="figure curve data as CSV files")
+    p = subs.add_parser("figures", help="figure curve data as CSV files")
     p.add_argument("--config", default=None)
     p.add_argument("--out-dir", required=True)
 
-    p = add_parser("probe", help="limit probes of the composed integral")
+    p = subs.add_parser("probe", help="limit probes of the composed integral")
     _add_common(p, frac=False, grid=True)
     p.add_argument("--regime", required=True, choices=("mu_to_1", "identity"))
     p.add_argument("--f", default="one")
@@ -443,9 +426,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _merge_config(args, parser)
+        if args.config:
+            # file entries go before the command line's flags, which win
+            tokens = _config_tokens(args.config, parser._psifrac_subs[args.command])
+            args = parser.parse_args([args.command] + tokens + argv[1:])
         return _COMMANDS[args.command](args)
     except (PsifracError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

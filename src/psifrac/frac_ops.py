@@ -120,23 +120,18 @@ def psi_integral_order1(f: SampledFunction, side: str = "left") -> SampledFuncti
 def psi_rl_derivative(
     f: SampledFunction, p_mu: float, side: str = "left"
 ) -> SampledFunction:
-    """Riemann-Liouville-type derivative of order ``p_mu`` in (0, 1).
+    """Riemann-Liouville-type derivative of order ``p_mu`` in [0, 1).
 
-    Realized as the exact tau-derivative of the order-(1 - p_mu) product
-    integral of the interpolant: a z^{-p_mu} power term carrying f at the
-    base point plus the slope quadrature of order 1 - p_mu.
+    The two-type derivative of type 0 (``nu = 0``, where the inner integral
+    has the full order 1 - p_mu): a z^{-p_mu} power term carrying f at the
+    base point plus the slope quadrature of order 1 - p_mu.  Order 0 is the
+    identity.
     """
     if not 0.0 <= p_mu < 1.0:
         raise ValueError(f"derivative order must lie in [0, 1), got {p_mu}")
     if p_mu == 0.0:
         return f.with_values(f.values)
-    _require_resolution(f)
-    g = _oriented(f, side)
-    h = f.grid.h
-    out = quad.fracint_slopes(g, 1.0 - p_mu, h)
-    if g[0] != 0.0:
-        out += quad._base_term(g[0], -p_mu, f.grid.n, h)
-    return _emit(f, out, side)
+    return psi_hilfer_derivative(f, FracParams(p_mu, 0.0), side)
 
 
 def psi_hilfer_derivative(

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import PsiKernel
+from .kernels import PsiKernel, _split_id
 from .specfun import MLParams, mittag_leffler
 
 __all__ = ["resolve_spatial", "resolve_state", "SPATIAL_IDS", "STATE_IDS"]
@@ -29,17 +29,11 @@ SPATIAL_IDS = ("one", "zero", "sin", "power:<delta>", "ml:<mu>[:<lam>]", "linear
 STATE_IDS = ("one", "zero", "sin", "linear:<lam>", "power:<delta>")
 
 
-def _parse(fid: str) -> tuple[str, list[float]]:
-    head, _, tail = fid.partition(":")
-    args = [float(tok) for tok in tail.split(":")] if tail else []
-    return head, args
-
-
 def resolve_spatial(
     fid: str, kernel: PsiKernel, a: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Function of x for the given kernel and base point."""
-    head, args = _parse(fid)
+    head, args = _split_id(fid)
     tau_a = float(kernel.eval(a))
 
     def z(x):
@@ -75,7 +69,7 @@ def resolve_spatial(
 
 def resolve_state(fid: str) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """Volterra integrand W(t, s, x) acting on the state x."""
-    head, args = _parse(fid)
+    head, args = _split_id(fid)
     if head == "one" and not args:
         return lambda t, s, x: np.ones_like(np.asarray(x, dtype=float))
     if head == "zero" and not args:

@@ -137,11 +137,15 @@ def make_builtin(
     return kern
 
 
+def _split_id(text: str) -> tuple[str, tuple[float, ...]]:
+    """Split a kernel or function id ``head:arg:arg`` into head and float args."""
+    head, _, tail = text.partition(":")
+    return head, (tuple(float(tok) for tok in tail.split(":")) if tail else ())
+
+
 def kernel_from_id(kernel_id: str, domain: tuple[float, float]) -> PsiKernel:
     """Parse a string id like ``identity``, ``sqrt_shift:1`` or ``power:2``."""
-    head, _, tail = kernel_id.partition(":")
-    params = tuple(float(tok) for tok in tail.split(":")) if tail else ()
-    return make_builtin(head, params, domain)
+    return make_builtin(*_split_id(kernel_id), domain)
 
 
 @dataclass

@@ -26,8 +26,6 @@ class WeightedNormSpec:
 
     xi_weight: float
     orientation: str = "forward"
-    # kernel/a are taken from the sampled function's grid; kept here only
-    # when the norm is evaluated pointwise away from a grid
 
     def __post_init__(self):
         if not 0.0 <= self.xi_weight < 1.0:

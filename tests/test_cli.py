@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 import psifrac
+from psifrac import (
+    FracParams,
+    SampledFunction,
+    TransformedGrid,
+    closed_forms,
+    kernel_from_id,
+    psi_hilfer_derivative,
+    psi_integral_order1,
+)
 from psifrac.cli import _csv_rows, _fmt, main
+from psifrac.funcs import resolve_spatial
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +72,52 @@ class TestBasicCommands:
         assert len(lines) == 66
         # value at x = 1 is 1/Gamma(0.5) rendered with 17 significant digits
         assert lines[-1].split(",")[1] == "0.56418958354775628"
+
+    @pytest.mark.parametrize("kind", ["integral1", "hilfer"])
+    def test_op_kind_matches_api(self, capsys, kind):
+        code, out, _ = run_cli(
+            capsys, "op", "--kind", kind, "--mu", "0.3", "--nu", "0.6",
+            "--kernel", "sqrt_shift:1", "--a", "0", "--b", "2", "--n", "64",
+            "--f", "ml:0.5",
+        )
+        assert code == 0
+        kernel = kernel_from_id("sqrt_shift:1", (0.0, 2.0))
+        grid = TransformedGrid.build(kernel, 0.0, 2.0, 64)
+        f = SampledFunction.from_callable(grid, resolve_spatial("ml:0.5", kernel, 0.0))
+        if kind == "integral1":
+            ref = psi_integral_order1(f)
+        else:
+            ref = psi_hilfer_derivative(f, FracParams(0.3, 0.6))
+        assert out.splitlines() == ["x,value"] + _csv_rows(grid.x_nodes, ref.values)
+
+    def test_op_out_file(self, tmp_path, capsys):
+        path = tmp_path / "op.csv"
+        argv = ("op", "--kind", "integral", "--n", "32", "--f", "sin")
+        code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        _, ref, _ = run_cli(capsys, *argv)
+        assert path.read_text(encoding="utf-8") == ref
+
+    @pytest.mark.parametrize(
+        "which", ["power-int", "power-hilfer", "ml-eigen", "ml-psifrac"]
+    )
+    def test_oracle_matches_closed_form(self, capsys, which):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--which", which, "--delta", "2.5", "--mu", "0.4",
+            "--nu", "0.6", "--lam", "0.7", "--a", "0", "--x", "1.5",
+            "--kernel", "sqrt_shift:1",
+        )
+        assert code == 0
+        kernel = kernel_from_id("sqrt_shift:1", (0.0, 1.5 + 1e-9))
+        p = FracParams(0.4, 0.6)
+        spec = closed_forms.PowerFunctionSpec(2.5, kernel, 0.0)
+        value = {
+            "power-int": lambda: closed_forms.power_integral(spec, 0.4, 1.5),
+            "power-hilfer": lambda: closed_forms.power_hilfer_derivative(spec, p, 1.5),
+            "ml-eigen": lambda: closed_forms.ml_hilfer_eigen(0.7, p, kernel, 0.0, 1.5),
+            "ml-psifrac": lambda: closed_forms.ml_psi_frac_integral(p, kernel, 0.0, 1.5),
+        }[which]()
+        assert out == f"{float(value):.17g}\n"
 
     def test_probe_monotone(self, capsys):
         code, out, _ = run_cli(
@@ -189,6 +245,48 @@ class TestConfigFile:
         assert code == 1 and "wavelength" in err
 
 
+    def test_explicit_flag_equal_to_default_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 0.75\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "bounds", "--mu", "0.5", "--config", str(cfg))
+        assert code == 0
+        assert out.strip().splitlines()[2] == "A = 1.3519564801345694"
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ("reference = lemmaa", "invalid choice: 'lemmaa'"),
+            ("mu = abc", "invalid float value: 'abc'"),
+        ],
+        ids=["choice", "float"],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--op", "psi-frac", "--n-list", "128", "--config", str(cfg)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_keys_are_option_dests(self, tmp_path, capsys):
+        # --lambda stores to lam; a '-' in a key reads as '_'
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lam = -0.5\nt-max = 3\nsteps = 4\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "malthus", "--config", str(cfg))
+        assert code == 0
+        _, ref, _ = run_cli(
+            capsys, "malthus", "--lambda", "-0.5", "--t-max", "3", "--steps", "4"
+        )
+        assert out == ref
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu 0.5\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "bounds", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 class TestVolterraCommand:
     def test_solution_and_log(self, tmp_path, capsys):
         log = tmp_path / "iters.csv"
@@ -201,6 +299,16 @@ class TestVolterraCommand:
         assert code == 0
         assert out.startswith("x,value")
         log_lines = log.read_text().strip().splitlines()
+        assert log_lines[0] == "k,sup_diff"
+        assert "converged=True" in log_lines[-1]
+
+    def test_log_defaults_to_stderr(self, capsys):
+        code, out, err = run_cli(
+            capsys, "volterra", "--n", "64", "--phi", "sin", "--w", "linear:0.5",
+        )
+        assert code == 0
+        assert out.startswith("x,value")
+        log_lines = err.strip().splitlines()
         assert log_lines[0] == "k,sup_diff"
         assert "converged=True" in log_lines[-1]
 

@@ -378,6 +378,17 @@ class TestHilferDerivative:
         ref[1:] = z[1:] ** -0.5 / G(0.5)
         assert np.max(np.abs(out.values[1:] - ref[1:])) <= 1e-12
 
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+    def test_order_one_is_backward_difference(self, nu):
+        # at mu = 1 the slope rule has order 0: backward difference quotients,
+        # exact on affine data; the base node holds 0
+        grid = identity_grid(64)
+        f = SampledFunction(grid, 2.0 + 3.0 * (grid.tau_nodes - grid.tau_nodes[0]))
+        left = psi_hilfer_derivative(f, FracParams(1.0, nu)).values
+        right = psi_hilfer_derivative(f, FracParams(1.0, nu), side="right").values
+        assert left[0] == 0.0 and np.all(left[1:] == 3.0)
+        assert right[-1] == 0.0 and np.all(right[:-1] == -3.0)
+
     def test_right_side_power_family(self):
         grid = identity_grid()
         zr = grid.tau_nodes[-1] - grid.tau_nodes

@@ -28,6 +28,7 @@ from .frac_ops import (
     psi_integral,
     psi_integral_order1,
     psi_rl_derivative,
+    relative_sup_error,
 )
 from .grids import SampledFunction, TransformedGrid
 from .kernels import kernel_from_id, validate
@@ -50,12 +51,13 @@ def _csv_rows(xs: np.ndarray, vs: np.ndarray) -> list[str]:
     return list(map("{:.17g},{:.17g}".format, memoryview(xs), memoryview(vs)))
 
 
-def _write_lines(lines, out_path: str | None):
+def _write_lines(lines, out_path, stream=None):
+    """Write ``lines`` to ``out_path`` if given, else to ``stream`` (stdout)."""
     text = "\n".join(lines) + "\n"
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        (stream or sys.stdout).write(text)
 
 
 def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list[str]:
@@ -108,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
 
     p = subs.add_parser("ml", help="evaluate the Mittag-Leffler function")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
+    _add_common(p, kernel=False, interval=False, frac=False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--z", type=float, required=True)
@@ -164,9 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="iteration log path (default: stderr)")
 
     p = subs.add_parser("malthus", help="population curve, CSV t,N")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--kernel", default="identity")
+    _add_common(p, interval=False, frac=False)
     p.add_argument("--n0", type=float, default=100.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.3)
     p.add_argument("--mu", type=float, default=0.5)
@@ -186,9 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid(args) -> TransformedGrid:
+def _sampled(args) -> SampledFunction:
+    """``--f`` sampled on the grid of ``--kernel``, ``--a``, ``--b`` and ``--n``."""
     kernel = kernel_from_id(args.kernel, (min(args.a, args.b), max(args.a, args.b)))
-    return TransformedGrid.build(kernel, args.a, args.b, args.n)
+    grid = TransformedGrid.build(kernel, args.a, args.b, args.n)
+    return SampledFunction.from_callable(grid, funcs.resolve_spatial(args.f, kernel, args.a))
 
 
 def _cmd_kernel(args):
@@ -212,10 +213,7 @@ def _cmd_ml(args):
 
 
 def _cmd_op(args):
-    grid = _grid(args)
-    f = SampledFunction.from_callable(
-        grid, funcs.resolve_spatial(args.f, grid.kernel, args.a)
-    )
+    f = _sampled(args)
     if args.kind == "integral":
         out = psi_integral(f, args.mu, args.side)
     elif args.kind == "integral1":
@@ -226,37 +224,27 @@ def _cmd_op(args):
         out = psi_hilfer_derivative(f, FracParams(args.mu, args.nu), args.side)
     else:
         out = psi_frac_integral(f, FracParams(args.mu, args.nu), args.side)
-    lines = ["x,value"]
-    lines += _csv_rows(grid.x_nodes, out.values)
-    _write_lines(lines, args.out)
+    _write_lines(["x,value"] + _csv_rows(f.grid.x_nodes, out.values), args.out)
     return 0
 
 
 def _cmd_oracle(args):
     kernel = kernel_from_id(args.kernel, (min(args.a, args.x), max(args.a, args.x) + 1e-9))
     p = FracParams(args.mu, args.nu)
-    if args.which == "power-int":
-        spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
-        value = closed_forms.power_integral(spec, args.mu, args.x)
-    elif args.which == "power-hilfer":
-        spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
-        value = closed_forms.power_hilfer_derivative(spec, p, args.x)
-    elif args.which == "power-psifrac":
-        spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
-        value = closed_forms.power_psi_frac_integral(spec, p, args.x)
-    elif args.which == "ml-eigen":
+    if args.which == "ml-eigen":
         value = closed_forms.ml_hilfer_eigen(args.lam, p, kernel, args.a, args.x)
-    else:
+    elif args.which == "ml-psifrac":
         value = closed_forms.ml_psi_frac_integral(p, kernel, args.a, args.x)
+    else:
+        spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
+        if args.which == "power-int":
+            value = closed_forms.power_integral(spec, args.mu, args.x)
+        elif args.which == "power-hilfer":
+            value = closed_forms.power_hilfer_derivative(spec, p, args.x)
+        else:
+            value = closed_forms.power_psi_frac_integral(spec, p, args.x)
     _write_lines([_fmt(float(value))], args.out)
     return 0
-
-
-def _convergence_error(num: np.ndarray, ref: np.ndarray) -> float:
-    """Relative sup over the far half of the grid (away from the base point,
-    where the data's own cusp dominates any scheme)."""
-    k = num.size // 2
-    return float(np.max(np.abs(num[k:] - ref[k:])) / np.max(np.abs(ref[k:])))
 
 
 def _cmd_compare(args):
@@ -281,7 +269,9 @@ def _cmd_compare(args):
                 ref = closed_forms.power_psi_frac_integral(spec, p, grid.x_nodes)
             else:
                 ref = closed_forms.power_integral(spec, args.mu, grid.x_nodes)
-        err = _convergence_error(num.values, np.asarray(ref))
+        # far half of the grid only: next to the base point the data's own
+        # cusp dominates any scheme
+        err = relative_sup_error(num, ref, skip_base=(n + 1) // 2)
         order = math.log2(prev / err) if (prev and err > 0) else float("nan")
         lines.append(f"{n},{_fmt(err)},{_fmt(order)}")
         prev = err
@@ -316,14 +306,9 @@ def _cmd_volterra(args):
     log_lines = ["k,sup_diff"]
     log_lines += [f"{k + 1},{_fmt(d)}" for k, d in enumerate(trace.sup_diffs)]
     log_lines.append(f"# converged={trace.converged} residual={_fmt(trace.residual)}")
-    if args.log:
-        Path(args.log).write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    else:
-        print("\n".join(log_lines), file=sys.stderr)
-    grid = trace.solution.grid
-    lines = ["x,value"]
-    lines += _csv_rows(grid.x_nodes, trace.solution.values)
-    _write_lines(lines, args.out)
+    _write_lines(log_lines, args.log, sys.stderr)
+    x = trace.solution
+    _write_lines(["x,value"] + _csv_rows(x.grid.x_nodes, x.values), args.out)
     return 0 if trace.converged else 1
 
 
@@ -337,9 +322,7 @@ def _cmd_malthus(args):
         horizon=args.t_max,
     )
     ts, ns = models.malthus_curve(spec, args.steps)
-    lines = ["t,N"]
-    lines += _csv_rows(ts, ns)
-    _write_lines(lines, args.out)
+    _write_lines(["t,N"] + _csv_rows(ts, ns), args.out)
     return 0
 
 
@@ -387,19 +370,13 @@ def _cmd_figures(args):
         ("fig3.csv", "log", 1.0, math.e),
     )
     for fname, kid, a, b in cases:
-        kernel = kernel_from_id(kid, (a, b))
-        lines = _figure_rows(kernel, a, b)
-        (out_dir / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_lines(_figure_rows(kernel_from_id(kid, (a, b)), a, b), out_dir / fname)
     print(f"wrote fig1.csv fig2.csv fig3.csv to {out_dir}")
     return 0
 
 
 def _cmd_probe(args):
-    grid = _grid(args)
-    f = SampledFunction.from_callable(
-        grid, funcs.resolve_spatial(args.f, grid.kernel, args.a)
-    )
-    report = limit_probe(f, args.regime)
+    report = limit_probe(_sampled(args), args.regime)
     lines = ["mu,nu,distance"]
     lines += [
         f"{_fmt(mu)},{_fmt(nu)},{_fmt(d)}"
@@ -427,12 +404,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    # read --config first, so that the file may also supply required options
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")  # a bare --config fails the full parse
+    config = pre.parse_known_args(argv[1:])[0].config
     try:
-        if args.config:
+        if config and argv[0] in parser._psifrac_subs:
             # file entries go before the command line's flags, which win
-            tokens = _config_tokens(args.config, parser._psifrac_subs[args.command])
-            args = parser.parse_args([args.command] + tokens + argv[1:])
+            tokens = _config_tokens(config, parser._psifrac_subs[argv[0]])
+            argv = argv[:1] + tokens + argv[1:]
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (PsifracError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

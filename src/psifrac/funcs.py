@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import PsiKernel, _split_id
-from .specfun import MLParams, mittag_leffler
+from .specfun import _ml_power
 
 __all__ = ["resolve_spatial", "resolve_state", "SPATIAL_IDS", "STATE_IDS"]
 
@@ -53,14 +53,7 @@ def resolve_spatial(
     if head == "ml" and len(args) in (1, 2):
         mu = args[0]
         lam = args[1] if len(args) == 2 else 1.0
-        params = MLParams(alpha=mu)
-
-        def f(x):
-            zz = np.atleast_1d(z(x))
-            out = np.array([mittag_leffler(params, lam * v**mu) for v in zz])
-            return out if np.ndim(x) else float(out[0])
-
-        return f
+        return lambda x: _ml_power(mu, lam, z(x))
     if head == "linear" and len(args) == 1:
         lam = args[0]
         return lambda x: lam * z(x)

@@ -112,12 +112,7 @@ def picard_solve(
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = problem.grid()
-    phi_vals = np.asarray(problem.phi(grid.x_nodes), dtype=float)
-    if phi_vals.shape == ():
-        phi_vals = np.full(grid.n + 1, float(phi_vals))
-    if not np.all(np.isfinite(phi_vals)):
-        raise ValueError("phi must be finite on [a, b]")
-    phi = SampledFunction(grid, phi_vals)
+    phi = SampledFunction.from_callable(grid, problem.phi)
 
     x = phi if x0 is None else x0
     if x.grid != grid:

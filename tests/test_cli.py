@@ -279,6 +279,14 @@ class TestConfigFile:
         )
         assert out == ref
 
+    def test_config_supplies_required_options(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = integral\nn = 64\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "op", "--config", str(cfg), "--mu", "0.3")
+        assert code == 0
+        _, ref, _ = run_cli(capsys, "op", "--kind", "integral", "--n", "64", "--mu", "0.3")
+        assert out == ref
+
     def test_line_without_equals_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu 0.5\n", encoding="utf-8")
@@ -326,6 +334,17 @@ class TestMalthusCommand:
         assert float(lines[-1].split(",")[1]) == pytest.approx(
             100 * math.exp(0.6), rel=1e-12
         )
+
+    def test_cancelled_series_is_one_error_line(self, capsys):
+        # E_{1/2}(-3 sqrt(10)) cancels; this run once printed 4e19 and exited 0
+        code, out, err = run_cli(
+            capsys, "malthus", "--lambda", "-3", "--mu", "0.5", "--nu", "1",
+            "--t-max", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "cancelled" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_series_overflow_is_one_error_line(self, capsys):
         code, out, err = run_cli(

@@ -24,6 +24,7 @@ from psifrac import (
 )
 from psifrac._quadrature import (
     CORRECTION_CELLS,
+    _halfpow_correction,
     _pwconst_kernel,
     _slope_integral,
     fracint_slopes,
@@ -87,6 +88,11 @@ class TestPsiIntegral:
         for bad in (0.0, -0.3, 2.5):
             with pytest.raises(ValueError):
                 psi_integral(f, bad)
+
+    def test_unknown_side_rejected(self):
+        f = SampledFunction(identity_grid(16), np.ones(17))
+        with pytest.raises(ValueError, match="side"):
+            psi_integral(f, 0.5, side="up")
 
     def test_right_side_mirror(self):
         grid = identity_grid(512)
@@ -319,6 +325,12 @@ class TestRlDerivative:
         with pytest.raises(ResolutionError):
             psi_rl_derivative(SampledFunction(grid, np.ones(4)), 0.5)
 
+    @pytest.mark.parametrize("order", [-0.1, 1.0, 1.5])
+    def test_order_range_enforced(self, order):
+        f = SampledFunction(identity_grid(16), np.ones(17))
+        with pytest.raises(ValueError, match="derivative order"):
+            psi_rl_derivative(f, order)
+
     def test_inverts_integral_on_smooth_function(self):
         grid = identity_grid()
         f = SampledFunction(grid, np.sin(grid.tau_nodes - grid.tau_nodes[0]))
@@ -445,6 +457,26 @@ class TestPsiFracIntegral:
         right = right - psi_frac_integral(SampledFunction(grid, gv), p).values
         scale = np.max(np.abs(right)) or 1.0
         assert np.max(np.abs(left.values - right)) <= 1e-12 * scale
+
+    @settings(deadline=None, derandomize=True, max_examples=8)
+    @given(mu=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("n", [16, 257, 3000])
+    @pytest.mark.parametrize(
+        "kid,a,b", [("identity", 0.0, 1.0), ("log", 1.0, math.e)], ids=["identity", "log"]
+    )
+    def test_is_order_mu_integral_plus_start_correction(self, kid, a, b, n, mu, seed):
+        # the composed integral does not depend on nu, and it is the order-mu
+        # integral plus the half-power start correction at order 1 + mu
+        grid = TransformedGrid.build(make_builtin(kid, (), (a, b)), a, b, n)
+        f = SampledFunction(grid, np.random.default_rng(seed).standard_normal(n + 1))
+        outs = [psi_frac_integral(f, FracParams(mu, nu)).values for nu in (0.0, 0.37, 1.0)]
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+        s, h = 1.0 + mu, grid.h
+        ref = psi_integral(f, mu).values + _halfpow_correction(f.values, s, h)
+        # rounding scales with the summed magnitudes W|d|, not with the sum
+        d = np.abs(np.diff(f.values)) / h
+        scale = np.max(np.convolve(d, _pwconst_kernel(s, n))[: n + 1]) * h**s / G(s + 1.0)
+        assert np.max(np.abs(outs[0] - ref)) <= 1e-15 * scale
 
     def test_right_side_constant(self):
         grid = identity_grid(512)

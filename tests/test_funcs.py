@@ -58,6 +58,20 @@ class TestStateIds:
         x = np.array([0.0, 2.0, 4.0])
         assert np.array_equal(w(0.3, x, x), 0.5 * x)
 
+    @pytest.mark.parametrize(
+        "fid,expected",
+        [
+            ("zero", lambda x: np.zeros_like(x)),
+            ("sin", np.sin),
+            ("power:2.5", lambda x: x**1.5),
+        ],
+        ids=["zero", "sin", "power"],
+    )
+    def test_ids_act_on_state(self, fid, expected):
+        x = np.array([0.0, 0.5, 2.0, 4.0])
+        got = resolve_state(fid)(0.3, np.zeros(4), x)
+        assert np.array_equal(got, expected(x))
+
     def test_one_is_constant_kernel(self):
         w = resolve_state("one")
         assert np.all(w(0.0, np.zeros(3), np.array([5.0, -1.0, 2.0])) == 1.0)

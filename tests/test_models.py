@@ -6,6 +6,7 @@ import pytest
 from psifrac import (
     FracParams,
     MalthusSpec,
+    MLConvergenceError,
     MLParams,
     PowerFunctionSpec,
     make_builtin,
@@ -62,10 +63,25 @@ class TestSolution:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-2 * n0
 
+    def test_array_of_times_matches_scalar_calls(self):
+        kernel = make_builtin("sqrt_shift", (1.0,), (0.0, 3.0))
+        spec = make_spec(lam=-0.5, mu=0.3, horizon=3.0, kernel=kernel)
+        ts = np.linspace(0.0, 3.0, 301)
+        ref = [malthus_solution(spec, t) for t in ts.tolist()]
+        assert np.array_equal(malthus_solution(spec, ts), ref)
+
+    def test_cancelled_decay_raises(self):
+        # lambda (psi(t) - psi(0))^mu reaches -3 sqrt(10): past the series
+        spec = make_spec(lam=-3.0, mu=0.5, horizon=10.0)
+        with pytest.raises(MLConvergenceError):
+            malthus_curve(spec, 20)
+
     def test_domain_checks(self):
         spec = make_spec()
         with pytest.raises(ValueError):
             malthus_solution(spec, 3.0)
+        with pytest.raises(ValueError):
+            malthus_solution(spec, np.array([0.0, 1.0, 2.5]))
         with pytest.raises(ValueError):
             make_spec(n0=-1.0)
         with pytest.raises(ValueError):

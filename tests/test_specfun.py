@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from psifrac import (
     GammaPoleError,
@@ -145,6 +146,34 @@ class TestMittagLeffler:
         assert mittag_leffler(MLParams(0.7, 1.3), 0.0) == pytest.approx(
             1.0 / gamma(1.3), rel=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "alpha,z", [(0.5, -5.0), (0.5, -10.0), (1.0, -8.0), (1.0, -30.0)]
+    )
+    def test_cancelled_series_raises(self, alpha, z):
+        # E_{1/2}(-10) once summed to -1.6e29 (true value 0.056)
+        with pytest.raises(MLConvergenceError, match="cancelled") as info:
+            mittag_leffler(MLParams(alpha), z)
+        assert math.isfinite(info.value.partial_sum)
+        assert 0 < info.value.terms < MLParams(alpha).max_terms
+
+    def test_moderate_negative_arguments_stay_accurate(self):
+        # E_{1/2}(-x) = erfcx(x) and E_1(-x) = exp(-x) where the guard is quiet
+        for x in np.linspace(0.0, 3.0, 61):
+            got = mittag_leffler(MLParams(0.5), -float(x))
+            assert abs(got - erfcx(x)) <= 1e-10 * erfcx(x)
+        for x in np.linspace(0.0, 5.0, 101):
+            got = mittag_leffler(MLParams(1.0), -float(x))
+            assert abs(got - math.exp(-x)) <= 1e-10 * math.exp(-x)
+
+    def test_array_argument_is_elementwise(self):
+        params = MLParams(0.7, 1.2)
+        zs = np.linspace(-2.0, 3.0, 12).reshape(3, 4)
+        got = mittag_leffler(params, zs)
+        assert got.shape == (3, 4)
+        ref = [mittag_leffler_terms(params, z)[0] for z in zs.ravel().tolist()]
+        assert np.array_equal(got.ravel(), ref)
+        assert isinstance(mittag_leffler(params, np.float64(0.5)), float)
 
     def test_large_negative_argument_alternating(self):
         # cos(5) through the alpha = 2 reduction exercises cancellation

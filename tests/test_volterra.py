@@ -53,6 +53,22 @@ class TestPicardBasics:
         err = np.max(np.abs(trace.solution.values[1:] - ref[1:]))
         assert err <= 1e-10
 
+    def test_scalar_returning_phi_and_integrand(self):
+        # constant callables may return a scalar; it is broadcast to the grid
+        scalar = make_problem(lambda t, s, x: 0.8, phi=lambda x: 2.0)
+        array = make_problem(
+            lambda t, s, x: np.full_like(x, 0.8), phi=lambda x: np.full_like(x, 2.0)
+        )
+        got = picard_solve(scalar, tol=1e-12)
+        ref = picard_solve(array, tol=1e-12)
+        assert got.converged and got.iterations == ref.iterations
+        assert np.array_equal(got.solution.values, ref.solution.values)
+
+    def test_non_finite_phi_rejected(self):
+        problem = make_problem(lambda t, s, x: x, phi=lambda x: np.full_like(x, np.nan))
+        with pytest.raises(ValueError):
+            picard_solve(problem, tol=1e-8)
+
     def test_tol_must_be_positive(self):
         problem = make_problem(lambda t, s, x: np.zeros_like(x))
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GammaPoleError
 from .frac_ops import FracParams
 from .kernels import PsiKernel
-from .specfun import MLParams, gamma, mittag_leffler
+from .specfun import _ml_power, gamma
 
 __all__ = [
     "PowerFunctionSpec",
@@ -118,16 +118,14 @@ def ml_hilfer_eigen(lam: float, p: FracParams, kernel: PsiKernel, a: float, x):
     gains an extra z^(-mu)/Gamma(1-mu) term from the constant leading
     coefficient of the series, so the eigen relation fails there.
     """
-    z = float(kernel.eval(x)) - float(kernel.eval(a))
-    params = MLParams(alpha=p.mu)
-    return lam * mittag_leffler(params, lam * z**p.mu)
+    z = np.asarray(kernel.eval(x), dtype=float) - float(kernel.eval(a))
+    return lam * _ml_power(p.mu, lam, z)
 
 
 def ml_psi_frac_integral(p: FracParams, kernel: PsiKernel, a: float, x):
     """Composed integral of E_mu(z^mu):  E_mu(z^mu) - 1."""
-    z = float(kernel.eval(x)) - float(kernel.eval(a))
-    params = MLParams(alpha=p.mu)
-    return mittag_leffler(params, z**p.mu) - 1.0
+    z = np.asarray(kernel.eval(x), dtype=float) - float(kernel.eval(a))
+    return _ml_power(p.mu, 1.0, z) - 1.0
 
 
 def composition_remainder(

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _quadrature as quad
 from .errors import ResolutionError
-from .grids import SampledFunction
+from .grids import SampledFunction, TransformedGrid
 
 __all__ = [
     "FracParams",
@@ -77,9 +77,9 @@ class FracParams:
 
 def _oriented(f: SampledFunction, side: str) -> np.ndarray:
     if side == "left":
-        return np.array(f.values)
+        return f.values
     if side == "right":
-        return f.values[::-1].copy()
+        return f.values[::-1]
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -104,10 +104,7 @@ def psi_integral(f: SampledFunction, p_mu: float, side: str = "left") -> Sampled
     """
     if not 0.0 < p_mu <= 2.0:
         raise ValueError(f"integral order must lie in (0, 2], got {p_mu}")
-    g = _oriented(f, side)
-    out = quad.fracint_values(g, p_mu, f.grid.h)
-    out[0] = 0.0
-    return _emit(f, out, side)
+    return _emit(f, quad.fracint_values(_oriented(f, side), p_mu, f.grid.h), side)
 
 
 def psi_integral_order1(f: SampledFunction, side: str = "left") -> SampledFunction:
@@ -144,13 +141,14 @@ def psi_hilfer_derivative(
     at nu = 1, where the inner integral is the identity).
     """
     _require_resolution(f)
-    g = _oriented(f, side)
-    h = f.grid.h
-    out = quad.fracint_slopes(g, 1.0 - p.mu, h)
-    inner = (1.0 - p.nu) * (1.0 - p.mu)
-    if inner > 0.0 and g[0] != 0.0:
-        out += quad._base_term(g[0], -p.mu, f.grid.n, h)
-    return _emit(f, out, side)
+    base = -p.mu if (1.0 - p.nu) * (1.0 - p.mu) > 0.0 else None  # inner order > 0
+    op = quad.DiscreteOp(1.0 - p.mu, f.grid.n, f.grid.h, base_exponent=base)
+    return _emit(f, op(_oriented(f, side)), side)
+
+
+def _composed_op(p: FracParams, grid: TransformedGrid) -> quad.DiscreteOp:
+    """J^{mu,nu} on ``grid`` for every nu: f0 z^{mu}/Gamma(1+mu) + I^{1+mu}[slopes]."""
+    return quad.DiscreteOp(1.0 + p.mu, grid.n, grid.h, base_exponent=p.mu)
 
 
 def psi_frac_integral(
@@ -165,13 +163,7 @@ def psi_frac_integral(
     endpoint is exactly 0.
     """
     _require_resolution(f)
-    g = _oriented(f, side)
-    h = f.grid.h
-    out = quad.fracint_slopes(g, 1.0 + p.mu, h)
-    if g[0] != 0.0:
-        out += quad._base_term(g[0], p.mu, f.grid.n, h)
-    out[0] = 0.0
-    return _emit(f, out, side)
+    return _emit(f, _composed_op(p, f.grid)(_oriented(f, side)), side)
 
 
 def relative_sup_error(

@@ -146,5 +146,7 @@ def _ml_power(mu: float, lam: float, z):
     """E_mu(lam z^mu) for z >= 0, a float or an array.  The powers are taken
     one at a time: numpy's vectorized power may differ from C pow in the last bit."""
     zs = np.asarray(z, dtype=float)
+    if np.any(zs < 0.0):  # z^mu would be complex
+        raise ValueError(f"E_mu(lam z^mu) needs z >= 0, got z = {zs.min():g}")
     args = [lam * v**mu for v in zs.ravel().tolist()]
     return mittag_leffler(MLParams(alpha=mu), np.reshape(args, zs.shape))

@@ -2,11 +2,11 @@
 
     x(t) = phi(t) + J^{mu,nu}[ W(t, s, x(s)) ](t),
 
-where J is the composed fractional integral.  The t-dependence of W is
-frozen at each evaluation node (two-variable Volterra kernel read
-row-wise); when W does not depend on t -- the case every test uses -- a
-single operator application per sweep suffices and the solver takes that
-fast path.
+where J is the composed fractional integral, built once per solve.  The
+t-dependence of W is frozen at each evaluation node (two-variable Volterra
+kernel read row-wise), so a sweep costs O(n^2); when W does not depend on
+t, one O(n log n) operator application per sweep suffices and the solver
+takes that fast path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError
-from .frac_ops import FracParams, psi_frac_integral
+from .frac_ops import FracParams, _composed_op
 from .grids import SampledFunction, TransformedGrid
 from .kernels import PsiKernel
 from .spaces import bound_constant_A
@@ -74,26 +74,21 @@ class ContractionReport:
 
 def _integrand_values(problem, grid, t, x_vals) -> np.ndarray:
     w_vals = np.asarray(problem.integrand(t, grid.x_nodes, x_vals), dtype=float)
-    if w_vals.shape == ():
-        w_vals = np.full(grid.n + 1, float(w_vals))
+    # a constant-returning W broadcasts; any other shape but n + 1 is a ValueError
+    w_vals = np.broadcast_to(w_vals, grid.x_nodes.shape)
     if not np.all(np.isfinite(w_vals)):
         raise DivergenceError("integrand produced non-finite values", iteration=-1)
     return w_vals
 
 
-def _apply_operator(problem: VolterraProblem, grid, x: SampledFunction) -> np.ndarray:
+def _apply_operator(problem: VolterraProblem, op, x: SampledFunction) -> np.ndarray:
+    grid = x.grid
     if not problem.t_dependent:
         # t is frozen per row but unused; NaN is a canary against misuse
-        w_vals = _integrand_values(problem, grid, float("nan"), x.values)
-        out = psi_frac_integral(SampledFunction(grid, w_vals), problem.p)
-        return np.array(out.values)
-    # general kernel: freeze t at each node and take that row's value
-    out = np.zeros(grid.n + 1)
-    for i, t in enumerate(grid.x_nodes):
-        w_vals = _integrand_values(problem, grid, float(t), x.values)
-        row = psi_frac_integral(SampledFunction(grid, w_vals), problem.p)
-        out[i] = row.values[i]
-    return out
+        return op(_integrand_values(problem, grid, float("nan"), x.values))
+    # general kernel: freeze t at each node and take that row's value, O(i) at node i
+    rows = (_integrand_values(problem, grid, float(t), x.values) for t in grid.x_nodes)
+    return np.array([op.at(w_vals, i) for i, w_vals in enumerate(rows)])
 
 
 def picard_solve(
@@ -112,6 +107,7 @@ def picard_solve(
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = problem.grid()
+    op = _composed_op(problem.p, grid)
     phi = SampledFunction.from_callable(grid, problem.phi)
 
     x = phi if x0 is None else x0
@@ -122,7 +118,7 @@ def picard_solve(
     converged = False
     for k in range(1, max_iter + 1):
         try:
-            integral = _apply_operator(problem, grid, x)
+            integral = _apply_operator(problem, op, x)
         except DivergenceError as exc:
             raise DivergenceError(
                 f"{exc} (iterate {k})", iteration=k
@@ -143,7 +139,7 @@ def picard_solve(
             break
 
     residual = float(
-        np.max(np.abs(x.values - (phi.values + _apply_operator(problem, grid, x))))
+        np.max(np.abs(x.values - (phi.values + _apply_operator(problem, op, x))))
     )
     return PicardTrace(
         solution=x,

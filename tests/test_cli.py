@@ -194,20 +194,28 @@ class TestCsvRows:
 
 
 class TestImportCost:
-    def test_cli_import_loads_no_scipy_signal_or_fft(self):
-        # scipy.signal roughly doubles the CLI's import time; the slope
-        # integral's FFT is numpy.fft, which numpy itself loads
+    @staticmethod
+    def loaded_after_cli_import(*packages):
         env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
         code = (
             "import sys, psifrac, psifrac.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'fft'])))"
+            f"if '.'.join(m.split('.')[:2]) in {packages!r}))"
         )
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, timeout=120, check=True,
         )
-        assert run.stdout.strip() == "[]"
+        return run.stdout.strip()
+
+    def test_cli_import_loads_no_scipy_signal_or_fft(self):
+        # scipy.signal roughly doubles the CLI's import time; the slope
+        # integral's FFT is numpy.fft, which numpy itself loads
+        assert self.loaded_after_cli_import("scipy.signal", "scipy.fft") == "[]"
+
+    def test_cli_import_loads_no_scipy_special(self):
+        # scipy.special costs ~0.3 s; only building the start-correction columns uses it
+        assert self.loaded_after_cli_import("scipy.special") == "[]"
 
 
 class TestConfigFile:

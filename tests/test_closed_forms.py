@@ -173,6 +173,24 @@ class TestMlOracles:
         got = ml_psi_frac_integral(FracParams(0.999, 0.5), unit_kernel, 0.0, 1.0)
         assert got == pytest.approx(math.e - 1.0, rel=5e-3)
 
+    @pytest.mark.parametrize("mu,lam", [(0.5, 1.0), (0.3, -0.7), (0.9, 2.0)])
+    def test_arrays_match_pointwise_calls(self, mu, lam):
+        kernel = make_builtin("sqrt_shift", (1.0,), (0.0, 3.0))
+        p = FracParams(mu, 1.0)
+        x = np.linspace(0.0, 3.0, 41)
+        eigen = [ml_hilfer_eigen(lam, p, kernel, 0.0, v) for v in x]
+        composed = [ml_psi_frac_integral(p, kernel, 0.0, v) for v in x]
+        assert np.array_equal(ml_hilfer_eigen(lam, p, kernel, 0.0, x), eigen)
+        assert np.array_equal(ml_psi_frac_integral(p, kernel, 0.0, x), composed)
+
+    def test_points_before_base_rejected(self):
+        # z^mu is complex for z < 0; no real value is returned there
+        kernel = make_builtin("log", (), (0.5, 2.0))
+        with pytest.raises(ValueError, match="z >= 0"):
+            ml_psi_frac_integral(FracParams(0.5, 1.0), kernel, 1.0, 0.5)
+        with pytest.raises(ValueError, match="z >= 0"):
+            ml_hilfer_eigen(1.0, FracParams(0.5, 1.0), kernel, 1.0, np.array([1.5, 0.5]))
+
     def test_composed_ml_half_order(self, unit_kernel):
         got = ml_psi_frac_integral(FracParams(0.5, 0.5), unit_kernel, 0.0, 1.0)
         assert got == pytest.approx(

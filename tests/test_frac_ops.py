@@ -24,9 +24,8 @@ from psifrac import (
 )
 from psifrac._quadrature import (
     CORRECTION_CELLS,
-    _halfpow_correction,
+    DiscreteOp,
     _pwconst_kernel,
-    _slope_integral,
     fracint_slopes,
     fracint_values,
 )
@@ -247,7 +246,7 @@ class TestSlopeIntegral:
         }
         for name, values in data.items():
             d = np.diff(values) / h
-            fast = _slope_integral(values, s, h)
+            fast = DiscreteOp(s, n, h, corrected=False)(values)
             ref = np.convolve(d, w)[: n + 1] * scale
             # FFT rounding scales with the summed magnitudes W|d|, not with
             # the sum, which mixed-sign data can make small
@@ -265,7 +264,34 @@ class TestSlopeIntegral:
         for s in (0.05, 0.5, 1.5, 1.95):
             ref = np.convolve(np.diff(values) / h, _pwconst_kernel(s, n))[: n + 1]
             ref *= h**s / G(s + 1.0)
-            assert np.array_equal(_slope_integral(values, s, h), ref)
+            assert np.array_equal(DiscreteOp(s, n, h, corrected=False)(values), ref)
+
+
+class TestDiscreteOp:
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(
+        s=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+        corrected=st.booleans(),
+        base=st.one_of(st.none(), st.floats(-0.95, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    # n above 1024 takes the FFT far field in the full apply
+    @pytest.mark.parametrize("n_range", [(4, 96), (1025, 1025), (3000, 3000)])
+    def test_single_node_matches_full_apply(self, n_range, s, corrected, base, seed, data):
+        n = data.draw(st.integers(*n_range))
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(n + 1)
+        h = 1.0 / n
+        op = DiscreteOp(s, n, h, base_exponent=base, corrected=corrected)
+        full = op(values)
+        single = np.array([op.at(values, i) for i in range(n + 1)])
+        assert full[0] == 0.0 and single[0] == 0.0
+        # rounding scales with the summed magnitudes W|d|: the uncorrected
+        # rule on data whose slopes are |d|
+        abs_slope_data = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
+        scale = np.max(DiscreteOp(s, n, h, corrected=False)(abs_slope_data))
+        assert np.max(np.abs(single - full)) <= 1e-14 * scale
 
 
 class TestOrderOneIntegral:
@@ -472,7 +498,9 @@ class TestPsiFracIntegral:
         outs = [psi_frac_integral(f, FracParams(mu, nu)).values for nu in (0.0, 0.37, 1.0)]
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
         s, h = 1.0 + mu, grid.h
-        ref = psi_integral(f, mu).values + _halfpow_correction(f.values, s, h)
+        plain = DiscreteOp(s, n, h, corrected=False)
+        correction = DiscreteOp(s, n, h)(f.values) - plain(f.values)
+        ref = psi_integral(f, mu).values + correction
         # rounding scales with the summed magnitudes W|d|, not with the sum
         d = np.abs(np.diff(f.values)) / h
         scale = np.max(np.convolve(d, _pwconst_kernel(s, n))[: n + 1]) * h**s / G(s + 1.0)

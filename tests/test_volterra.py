@@ -13,7 +13,9 @@ from psifrac import (
     contraction_report,
     make_builtin,
     picard_solve,
+    psi_frac_integral,
 )
+from psifrac import _quadrature
 
 G = math.gamma
 
@@ -188,6 +190,41 @@ class TestTDependentKernel:
         grid = trace.solution.grid
         ref = np.sin(grid.x_nodes) + grid.x_nodes * grid.x_nodes**0.5 / G(1.5)
         assert np.max(np.abs(trace.solution.values[1:] - ref[1:])) <= 1e-10
+
+
+    def test_one_sweep_is_the_frozen_row_sum(self):
+        # from x0 = phi one sweep gives phi_i + sum_j K[i, j] W(t_i, s_j, phi_j),
+        # where column j of K is the composed integral of the j-th unit vector
+        def w(t, s, x):
+            return np.cos(3.0 * (t - s)) * x + t * s
+
+        problem = make_problem(w, n=48, t_dependent=True)
+        trace = picard_solve(problem, tol=1e-12, max_iter=1)
+        grid = trace.solution.grid
+        k = np.column_stack(
+            [psi_frac_integral(SampledFunction(grid, e), problem.p).values for e in np.eye(49)]
+        )
+        s, phi = grid.x_nodes, np.sin(grid.x_nodes)
+        ref = phi + np.array([k[i] @ w(t, s, phi) for i, t in enumerate(s)])
+        assert np.max(np.abs(trace.solution.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestOperatorReuse:
+    @pytest.mark.parametrize("t_dependent", [False, True], ids=["fast", "t_dependent"])
+    def test_one_weight_table_per_solve(self, monkeypatch, t_dependent):
+        # every sweep and the residual reuse the operator built at the start
+        built = []
+        table = _quadrature._pwconst_kernel
+
+        def counting(s, n):
+            built.append((s, n))
+            return table(s, n)
+
+        monkeypatch.setattr(_quadrature, "_pwconst_kernel", counting)
+        problem = make_problem(lambda t, s, x: -0.5 * x, n=64, t_dependent=t_dependent)
+        trace = picard_solve(problem, tol=1e-12)
+        assert trace.converged and trace.iterations > 1
+        assert len(built) == 1
 
 
 class TestContractionReport:

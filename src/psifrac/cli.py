@@ -31,7 +31,7 @@ from .frac_ops import (
     relative_sup_error,
 )
 from .grids import SampledFunction, TransformedGrid
-from .kernels import kernel_from_id, validate
+from .kernels import _z, kernel_from_id, validate
 from .specfun import MLParams, mittag_leffler_terms
 
 __all__ = ["main", "build_parser"]
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sampled(args) -> SampledFunction:
     """``--f`` sampled on the grid of ``--kernel``, ``--a``, ``--b`` and ``--n``."""
-    kernel = kernel_from_id(args.kernel, (min(args.a, args.b), max(args.a, args.b)))
+    kernel = kernel_from_id(args.kernel, (args.a, args.b))
     grid = TransformedGrid.build(kernel, args.a, args.b, args.n)
     return SampledFunction.from_callable(grid, funcs.resolve_spatial(args.f, kernel, args.a))
 
@@ -229,7 +229,7 @@ def _cmd_op(args):
 
 
 def _cmd_oracle(args):
-    kernel = kernel_from_id(args.kernel, (min(args.a, args.x), max(args.a, args.x) + 1e-9))
+    kernel = kernel_from_id(args.kernel, (args.a, max(args.a, args.x) + 1e-9))
     p = FracParams(args.mu, args.nu)
     if args.which == "ml-eigen":
         value = closed_forms.ml_hilfer_eigen(args.lam, p, kernel, args.a, args.x)
@@ -256,7 +256,7 @@ def _cmd_compare(args):
     prev = None
     for n in n_list:
         grid = TransformedGrid.build(kernel, args.a, args.b, n)
-        f = SampledFunction(grid, spec.z(grid.x_nodes) ** (args.delta - 1.0))
+        f = SampledFunction(grid, _z(kernel, args.a, grid.x_nodes) ** (args.delta - 1.0))
         if args.opkind == "integral":
             num = psi_integral(f, args.mu)
             ref = closed_forms.power_integral(spec, args.mu, grid.x_nodes)
@@ -341,14 +341,14 @@ def _figure_rows(kernel, a: float, b: float) -> list[str]:
     for mu in FIGURE_MUS:
         if mu == 1.0:
             # boundary value of the tabulated form: M collapses to 1/delta
-            vals = spec.z(xs) ** FIGURE_DELTA / FIGURE_DELTA
+            vals = _z(kernel, a, xs) ** FIGURE_DELTA / FIGURE_DELTA
         else:
             vals = closed_forms.power_psi_frac_integral(
                 spec, FracParams(mu, FIGURE_NU), xs
             )
         cols.append(np.asarray(vals))
     grid = TransformedGrid.build(kernel, a, b, 1024)
-    f = SampledFunction(grid, spec.z(grid.x_nodes) ** (FIGURE_DELTA - 1.0))
+    f = SampledFunction(grid, _z(kernel, a, grid.x_nodes) ** (FIGURE_DELTA - 1.0))
     numeric = psi_frac_integral(f, FracParams(0.5, FIGURE_NU))
     taus = np.asarray(kernel.eval(xs), dtype=float)
     num_interp = np.interp(taus, grid.tau_nodes, numeric.values)

@@ -45,12 +45,22 @@ class PsiKernel:
             raise KernelError(
                 f"kernel {self.name!r}: empty domain [{self.x_lo}, {self.x_hi}]"
             )
+        if not np.all(np.isfinite((self.x_lo, self.x_hi))):
+            raise KernelError(f"kernel {self.name!r}: infinite domain [{self.x_lo}, {self.x_hi}]")
 
     def contains(self, x: float) -> bool:
         return self.x_lo <= x <= self.x_hi
 
 
-BUILTIN_FAMILIES = ("identity", "sqrt_shift", "log", "exp", "power")
+# family -> its parameters, in id order
+_FAMILY_PARAMS = {
+    "identity": (),
+    "sqrt_shift": ("the shift c",),
+    "log": (),
+    "exp": (),
+    "power": ("the exponent p",),
+}
+BUILTIN_FAMILIES = tuple(_FAMILY_PARAMS)
 
 
 def make_builtin(
@@ -67,6 +77,12 @@ def make_builtin(
     """
     x_lo, x_hi = float(domain[0]), float(domain[1])
     params = tuple(float(p) for p in params)
+    wanted = _FAMILY_PARAMS.get(name)
+    if wanted is None:
+        raise KernelError(f"unknown kernel family {name!r}; known: {', '.join(BUILTIN_FAMILIES)}")
+    if len(params) != len(wanted):
+        count = f"one parameter ({wanted[0]})" if wanted else "no parameter"
+        raise KernelError(f"{name} takes {count}")
 
     if name == "identity":
         kern = PsiKernel(
@@ -78,8 +94,6 @@ def make_builtin(
             x_hi,
         )
     elif name == "sqrt_shift":
-        if len(params) != 1:
-            raise KernelError("sqrt_shift takes one parameter (the shift c)")
         c = params[0]
         if x_lo <= -c:
             raise KernelError(
@@ -114,11 +128,9 @@ def make_builtin(
             x_lo,
             x_hi,
         )
-    elif name == "power":
-        if len(params) != 1:
-            raise KernelError("power takes one parameter (the exponent p)")
+    else:  # power
         p = params[0]
-        if p <= 0:
+        if not p > 0:
             raise KernelError("power kernel exponent must be positive")
         if p != 1.0 and x_lo <= 0.0:
             raise KernelError(f"power:{p:g} needs x_lo > 0")
@@ -129,10 +141,6 @@ def make_builtin(
             lambda u, p=p: np.asarray(u, dtype=float) ** (1.0 / p),
             x_lo,
             x_hi,
-        )
-    else:
-        raise KernelError(
-            f"unknown kernel family {name!r}; known: {', '.join(BUILTIN_FAMILIES)}"
         )
     return kern
 
@@ -146,6 +154,16 @@ def _split_id(text: str) -> tuple[str, tuple[float, ...]]:
 def kernel_from_id(kernel_id: str, domain: tuple[float, float]) -> PsiKernel:
     """Parse a string id like ``identity``, ``sqrt_shift:1`` or ``power:2``."""
     return make_builtin(*_split_id(kernel_id), domain)
+
+
+def _z(kernel: PsiKernel, a: float, x):
+    """z = psi(x) - psi(a) for a float or an array x, the variable of every
+    closed form, function id and the Malthus curve; raises ValueError if a z
+    is negative (x before the base a) or NaN."""
+    z = np.asarray(kernel.eval(x), dtype=float) - float(kernel.eval(a))
+    if not np.all(z >= 0.0):
+        raise ValueError(f"need z >= 0 for z = psi(x) - psi(a), got z = {np.min(z):g}")
+    return z
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .frac_ops import (
     psi_hilfer_derivative,
 )
 from .grids import SampledFunction, TransformedGrid
-from .kernels import PsiKernel
+from .kernels import PsiKernel, _z
 from .spaces import WeightedNormSpec, weighted_norm
 from .specfun import _ml_power
 
@@ -41,7 +41,7 @@ class MalthusSpec:
     horizon: float
 
     def __post_init__(self):
-        if self.n0 <= 0:
+        if not self.n0 > 0:
             raise ValueError("initial population must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -55,8 +55,7 @@ def malthus_solution(spec: MalthusSpec, t):
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= spec.horizon)):
         raise ValueError(f"t must lie in [0, {spec.horizon:g}]")
-    z = np.asarray(spec.kernel.eval(t), dtype=float) - float(spec.kernel.eval(0.0))
-    return spec.n0 * _ml_power(spec.p.mu, spec.lam, z)
+    return spec.n0 * _ml_power(spec.p.mu, spec.lam, _z(spec.kernel, 0.0, t))
 
 
 def malthus_curve(spec: MalthusSpec, steps: int) -> tuple[np.ndarray, np.ndarray]:

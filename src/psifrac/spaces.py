@@ -56,7 +56,7 @@ def weighted_norm(
 def _span(kernel: PsiKernel, a: float, b: float) -> float:
     """psi(b) - psi(a), the length every bound constant is built on."""
     dz = float(kernel.eval(b)) - float(kernel.eval(a))
-    if dz <= 0:
+    if not dz > 0:
         raise ValueError("need b > a inside the kernel domain")
     return dz
 

@@ -56,11 +56,11 @@ class MLParams:
     max_terms: int = 2000
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_terms < 1:
             raise ValueError("max_terms must be at least 1")
@@ -143,10 +143,10 @@ def mittag_leffler(params: MLParams, z):
 
 
 def _ml_power(mu: float, lam: float, z):
-    """E_mu(lam z^mu) for z >= 0, a float or an array.  The powers are taken
-    one at a time: numpy's vectorized power may differ from C pow in the last bit."""
+    """E_mu(lam z^mu) for z >= 0, a float or an array: the output of
+    ``kernels._z``, which rejects z < 0 (z^mu would be complex).  The powers
+    are taken one at a time: numpy's vectorized power may differ from C pow
+    in the last bit."""
     zs = np.asarray(z, dtype=float)
-    if np.any(zs < 0.0):  # z^mu would be complex
-        raise ValueError(f"E_mu(lam z^mu) needs z >= 0, got z = {zs.min():g}")
     args = [lam * v**mu for v in zs.ravel().tolist()]
     return mittag_leffler(MLParams(alpha=mu), np.reshape(args, zs.shape))

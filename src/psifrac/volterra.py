@@ -104,7 +104,7 @@ def picard_solve(
     non-convergence returns the trace with ``converged = False`` and lets
     the caller decide.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     grid = problem.grid()
     op = _composed_op(problem.p, grid)
@@ -159,7 +159,7 @@ def contraction_report(
     the quantitative contraction condition.  The solver itself is not
     gated on the verdict.
     """
-    if lipschitz_est < 0:
+    if not lipschitz_est >= 0:
         raise ValueError("lipschitz_est must be nonnegative")
     a_const = bound_constant_A(problem.p, problem.kernel, problem.a, problem.b)
     factor = lipschitz_est / a_const

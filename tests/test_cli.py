@@ -163,6 +163,29 @@ class TestErrorPaths:
         assert "error:" in err
 
 
+class TestInputRules:
+    @pytest.mark.parametrize("kid", ["identity", "log"])
+    @pytest.mark.parametrize("which", ["power-int", "power-hilfer", "power-psifrac"])
+    def test_oracle_point_before_base_is_one_error_line(self, capsys, which, kid):
+        code, out, err = run_cli(
+            capsys, "oracle", "--which", which, "--kernel", kid,
+            "--a", "1", "--x", "0.5", "--mu", "0.5",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "z >= 0" in err
+
+    def test_kernel_parameter_count_checked(self, capsys):
+        code, out, err = run_cli(capsys, "kernel", "--kernel", "identity:5")
+        assert (code, out) == (1, "")
+        assert err == "error: identity takes no parameter\n"
+
+    def test_infinite_interval_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--b", "inf")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "infinite domain" in err
+
+
 class TestDeterminism:
     # n=2048 runs the FFT far field of the slope integral
     @pytest.mark.parametrize("n", ["128", "2048"])

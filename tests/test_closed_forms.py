@@ -198,6 +198,31 @@ class TestMlOracles:
         )
 
 
+class TestPointsBeforeBase:
+    """Every closed form is stated in z = psi(x) - psi(a) >= 0; one point
+    before the base in an array rejects the whole call."""
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda spec, p, k, x: power_integral(spec, p.mu, x),
+            lambda spec, p, k, x: power_hilfer_derivative(spec, p, x),
+            lambda spec, p, k, x: power_psi_frac_integral(spec, p, x),
+            lambda spec, p, k, x: ml_hilfer_eigen(0.8, p, k, 1.0, x),
+            lambda spec, p, k, x: ml_psi_frac_integral(p, k, 1.0, x),
+            lambda spec, p, k, x: composition_remainder(0.4, p, k, 1.0, x),
+        ],
+        ids=["power-int", "power-hilfer", "power-psifrac", "ml-eigen", "ml-psifrac", "remainder"],
+    )
+    @pytest.mark.parametrize("kid", ["identity", "log"])
+    def test_one_point_before_base_rejected(self, form, kid):
+        kernel = make_builtin(kid, (), (0.5, 2.0))
+        spec = PowerFunctionSpec(1.7, kernel, 1.0)
+        x = np.array([1.0, 1.5, 0.5, 2.0])
+        with pytest.raises(ValueError, match="z >= 0"):
+            form(spec, FracParams(0.5, 0.5), kernel, x)
+
+
 class TestCompositionRemainder:
     def test_zero_boundary_integral(self, unit_kernel):
         assert composition_remainder(0.0, FracParams(0.5, 0.5), unit_kernel, 0.0, 1.0) == 0.0

@@ -52,6 +52,19 @@ class TestSpatialIds:
             resolve_spatial("sin:1", kernel, 0.0)
 
 
+@pytest.mark.parametrize(
+    "fid", ["one", "zero", "sin", "power:2.5", "power:1", "linear:-0.3"]
+)
+def test_shared_ids_agree_on_identity_kernel(fid):
+    # on psi = x with a = 0, z is x itself, so both resolvers give the same bits
+    kernel = make_builtin("identity", (), (0.0, 4.0))
+    x = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+    spatial = resolve_spatial(fid, kernel, 0.0)(x)
+    state = resolve_state(fid)(0.3, np.zeros(6), x)
+    assert spatial.dtype == state.dtype
+    assert spatial.tobytes() == state.tobytes()
+
+
 class TestStateIds:
     def test_linear_acts_on_state(self):
         w = resolve_state("linear:0.5")

@@ -65,6 +65,18 @@ def test_empty_domain_rejected():
         make_builtin("identity", (), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("domain", [(0.0, math.inf), (-math.inf, 1.0)])
+def test_infinite_domain_rejected(domain):
+    with pytest.raises(KernelError, match="infinite domain"):
+        make_builtin("identity", (), domain)
+
+
+@pytest.mark.parametrize("kid", ["identity:5", "log:1", "exp:1:2"])
+def test_parameterless_families_reject_parameters(kid):
+    with pytest.raises(KernelError, match="takes no parameter"):
+        kernel_from_id(kid, (1.0, 2.0))
+
+
 @pytest.mark.parametrize("kid", ["identity", "sqrt_shift:1", "log", "exp", "power:1.7"])
 def test_builtin_monotone_and_invertible(kid):
     lo = 0.5 if kid not in ("identity", "sqrt_shift:1", "exp") else 0.0

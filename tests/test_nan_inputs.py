@@ -1,0 +1,57 @@
+"""A validity check written ``x <= 0`` lets NaN through; every input check
+is written so that NaN fails it."""
+
+import math
+
+import pytest
+
+from psifrac import (
+    FracParams,
+    MalthusSpec,
+    MLParams,
+    PowerFunctionSpec,
+    VolterraProblem,
+    bound_constant_s,
+    contraction_report,
+    make_builtin,
+    picard_solve,
+)
+from psifrac.funcs import resolve_spatial
+
+NAN = math.nan
+
+
+def _unit():
+    return make_builtin("identity", (), (0.0, 1.0))
+
+
+def _problem():
+    return VolterraProblem(
+        phi=lambda x: 0.0 * x + 1.0,
+        integrand=lambda t, s, x: -0.5 * x,
+        p=FracParams(0.5, 0.5),
+        kernel=_unit(),
+        a=0.0,
+        b=1.0,
+        n=8,
+    )
+
+
+CASES = {
+    "power-spec-delta": lambda: PowerFunctionSpec(NAN, _unit(), 0.0),
+    "power-id-delta": lambda: resolve_spatial("power:nan", _unit(), 0.0),
+    "power-kernel-exponent": lambda: make_builtin("power", (NAN,), (1.0, 2.0)),
+    "malthus-n0": lambda: MalthusSpec(NAN, 0.3, FracParams(0.5, 1.0), _unit(), 1.0),
+    "span": lambda: bound_constant_s(FracParams(0.5, 0.5), _unit(), 0.0, NAN),
+    "ml-alpha": lambda: MLParams(alpha=NAN),
+    "ml-beta": lambda: MLParams(alpha=0.5, beta=NAN),
+    "ml-tol": lambda: MLParams(alpha=0.5, tol=NAN),
+    "picard-tol": lambda: picard_solve(_problem(), tol=NAN, max_iter=2),
+    "lipschitz-estimate": lambda: contraction_report(_problem(), NAN),
+}
+
+
+@pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
+def test_nan_input_rejected(make):
+    with pytest.raises(ValueError):
+        make()

@@ -95,7 +95,7 @@ def make_builtin(
         )
     elif name == "sqrt_shift":
         c = params[0]
-        if x_lo <= -c:
+        if not x_lo > -c:
             raise KernelError(
                 f"sqrt_shift:{c:g} needs x_lo > {-c:g} for a finite positive derivative"
             )
@@ -159,7 +159,10 @@ def kernel_from_id(kernel_id: str, domain: tuple[float, float]) -> PsiKernel:
 def _z(kernel: PsiKernel, a: float, x):
     """z = psi(x) - psi(a) for a float or an array x, the variable of every
     closed form, function id and the Malthus curve; raises ValueError if a z
-    is negative (x before the base a) or NaN."""
+    is negative (x before the base a) or NaN.  psi increases, so x >= a is
+    checked first and psi is never evaluated before the base."""
+    if not np.all(np.asarray(x) >= a):
+        raise ValueError(f"need z >= 0 for z = psi(x) - psi(a), got x = {np.min(x):g} < a = {a:g}")
     z = np.asarray(kernel.eval(x), dtype=float) - float(kernel.eval(a))
     if not np.all(z >= 0.0):
         raise ValueError(f"need z >= 0 for z = psi(x) - psi(a), got z = {np.min(z):g}")
@@ -210,25 +213,25 @@ def validate(kernel: PsiKernel, n_samples: int) -> KernelReport:
     xs = np.linspace(kernel.x_lo, kernel.x_hi, n_samples)
     values = np.asarray(kernel.eval(xs), dtype=float)
 
-    for i in np.nonzero(np.diff(values) <= 0)[0]:
+    # NaN fails every check: each is written as "not within tolerance"
+    for i in np.nonzero(~(np.diff(values) > 0))[0]:
         report.monotonicity_violations.append((float(xs[i + 1]), float(values[i + 1])))
 
     # central differences with a cube-root-of-eps step, clipped to the domain
-    for x in xs[1:-1]:
-        step = 6e-6 * (1.0 + abs(x))
-        step = min(step, (kernel.x_hi - x) * 0.5, (x - kernel.x_lo) * 0.5)
-        if step <= 0.0:
-            continue
-        fd = (float(kernel.eval(x + step)) - float(kernel.eval(x - step))) / (2 * step)
-        d = float(kernel.deriv(x))
-        rel = abs(fd - d) / max(abs(d), abs(fd), 1e-300)
-        report.max_derivative_mismatch = max(report.max_derivative_mismatch, rel)
-        if rel > DERIV_RTOL:
-            report.derivative_mismatches.append((float(x), rel))
+    x = xs[1:-1]
+    step = np.minimum(6e-6 * (1.0 + np.abs(x)), np.minimum(kernel.x_hi - x, x - kernel.x_lo) * 0.5)
+    x, step = x[step > 0.0], step[step > 0.0]
+    up, down = (np.asarray(kernel.eval(x + dx), dtype=float) for dx in (step, -step))
+    fd = (up - down) / (2 * step)
+    d = np.asarray(kernel.deriv(x), dtype=float)
+    rel = np.abs(fd - d) / np.maximum(np.maximum(np.abs(d), np.abs(fd)), 1e-300)
+    report.max_derivative_mismatch = float(np.max(rel, initial=0.0))
+    for i in np.nonzero(~(rel <= DERIV_RTOL))[0]:
+        report.derivative_mismatches.append((float(x[i]), float(rel[i])))
 
     back = np.asarray(kernel.inverse(values), dtype=float)
     err = np.abs(back - xs) / (1.0 + np.abs(xs))
     report.max_inverse_error = float(np.max(err))
-    for i in np.nonzero(err > INVERSE_RTOL)[0]:
+    for i in np.nonzero(~(err <= INVERSE_RTOL))[0]:
         report.inverse_errors.append((float(xs[i]), float(err[i])))
     return report

@@ -175,6 +175,21 @@ class TestInputRules:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "z >= 0" in err
 
+    def test_oracle_evaluates_no_kernel_before_base(self, capsys):
+        # log at x = -1 would warn; the point is rejected before psi is evaluated
+        code, out, err = run_cli(
+            capsys, "oracle", "--which", "power-int", "--kernel", "log",
+            "--a", "1", "--x", "-1",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "z >= 0" in err
+
+    def test_nan_kernel_parameter_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "kernel", "--kernel", "sqrt_shift:nan")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_kernel_parameter_count_checked(self, capsys):
         code, out, err = run_cli(capsys, "kernel", "--kernel", "identity:5")
         assert (code, out) == (1, "")

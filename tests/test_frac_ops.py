@@ -26,7 +26,6 @@ from psifrac._quadrature import (
     CORRECTION_CELLS,
     DiscreteOp,
     _pwconst_kernel,
-    fracint_slopes,
     fracint_values,
 )
 from psifrac.frac_ops import SKIP_BASE_NODES
@@ -196,7 +195,7 @@ class TestPsiIntegral:
                         total += a[j] * (inv_sqrt / 2 - chord * flat)
                 ref[i] = total / mpmath.gamma(sm)
                 scale[i] = absolute / mpmath.gamma(sm)
-        out = fracint_slopes(values, s, 1.0 / n)
+        out = DiscreteOp(s, n, 1.0 / n)(values)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(scale)
 
     @pytest.mark.parametrize("s", [0.2, 0.5, 1.0, 1.3, 2.0])
@@ -292,6 +291,14 @@ class TestDiscreteOp:
         abs_slope_data = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
         scale = np.max(DiscreteOp(s, n, h, corrected=False)(abs_slope_data))
         assert np.max(np.abs(single - full)) <= 1e-14 * scale
+
+    # n = 3000 takes the FFT far field; the correction reads the data's own
+    # second differences, so a constant gives exactly zero at every node
+    @pytest.mark.parametrize("n", [64, 3000])
+    @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
+    def test_constant_data_give_exact_zero(self, s, n):
+        out = DiscreteOp(s, n, 1.0 / n)(np.ones(n + 1))
+        assert np.all(out == 0.0)
 
 
 class TestOrderOneIntegral:

@@ -100,6 +100,19 @@ def test_validate_sqrt_shift_derivative_against_differences():
     assert report.max_derivative_mismatch <= 1e-6
 
 
+def test_validate_derivative_check_matches_pointwise_loop():
+    # reference: one central difference per interior sample; sqrt, + and /
+    # round correctly, so array and scalar evaluation agree bit for bit
+    k = make_builtin("sqrt_shift", (1.0,), (0.0, 3.0))
+    rels = []
+    for x in np.linspace(0.0, 3.0, 200)[1:-1]:
+        step = min(6e-6 * (1.0 + abs(x)), (3.0 - x) * 0.5, x * 0.5)
+        fd = (float(k.eval(x + step)) - float(k.eval(x - step))) / (2 * step)
+        d = float(k.deriv(x))
+        rels.append(abs(fd - d) / max(abs(d), abs(fd), 1e-300))
+    assert validate(k, 200).max_derivative_mismatch == max(rels)
+
+
 def test_validate_flags_decreasing_function():
     bad = PsiKernel(
         "decreasing",
@@ -132,3 +145,22 @@ def test_validate_flags_wrong_derivative():
 def test_validate_needs_three_samples():
     with pytest.raises(ValueError):
         validate(make_builtin("identity", (), (0.0, 1.0)), 2)
+
+
+def test_validate_flags_nan_kernel():
+    # NaN compares false both ways, so every check must fail on it
+    nan = PsiKernel(
+        "nan",
+        eval=lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
+        deriv=lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
+        inverse=lambda u: np.asarray(u, dtype=float) + 0.0,
+        x_lo=0.0,
+        x_hi=1.0,
+    )
+    report = validate(nan, 10)
+    assert not report.ok
+    assert len(report.monotonicity_violations) == 9
+    assert len(report.derivative_mismatches) == 8
+    assert len(report.inverse_errors) == 10
+    assert math.isnan(report.max_derivative_mismatch)
+    assert math.isnan(report.max_inverse_error)

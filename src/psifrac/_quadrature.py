@@ -20,7 +20,10 @@ exactly.  Without it any polynomial cell model keeps an n-independent
 relative error a few nodes from the base point whenever the data carry the
 z^(1/2)-type behaviour that fractional operators produce.  It is linear in
 the data's second differences over the first cells, so it is one (n, cells)
-block, applied by one matrix-vector product.
+block, applied by one matrix-vector product.  Its first ``_NEAR_K`` rows
+are exact incomplete-beta integrals (the only use of ``scipy.special``);
+every later row is a moment expansion in 1/k, accurate to a few 1e-16
+relative against 40-digit quadrature, in O(n) with no special function.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ CORRECTION_CELLS = 8
 # is used (at n = 1024 both take about 0.1 ms)
 _DIRECT_N = 1024
 
+# correction rows 1.._NEAR_K use the exact incomplete-beta columns; later rows
+# a _FAR_TERMS-term moment expansion in 1/k, evaluated _FAR_CHUNK rows at a time
+_NEAR_K = 128
+_FAR_TERMS = 16
+_FAR_CHUNK = 2048
+
 
 def _pwconst_kernel(s: float, n: int) -> np.ndarray:
     v = np.zeros(n + 1)
@@ -49,32 +58,82 @@ def _pwconst_kernel(s: float, n: int) -> np.ndarray:
     return v
 
 
+def _far_moments() -> np.ndarray:
+    """M[j, m] = int_j^{j+1} v^m (v^(-1/2)/2 - chord_j) dv, m = 0.._FAR_TERMS,
+    chord_j = sqrt(j+1) - sqrt(j); M[j, 0] = 0.  The closed form's two terms
+    cancel (in float64 to ~1e-12 relative), so they are formed in integers
+    from square roots to 50 digits and rounded once by the int division."""
+    one = 10**50
+    out = np.zeros((CORRECTION_CELLS, _FAR_TERMS + 1))
+    for j in range(CORRECTION_CELLS):
+        r_lo, r_hi = math.isqrt(j * one * one), math.isqrt((j + 1) * one * one)
+        for m in range(1, _FAR_TERMS + 1):
+            half = ((j + 1) ** m * r_hi - j**m * r_lo) * (m + 1)
+            chord = (r_hi - r_lo) * ((j + 1) ** (m + 1) - j ** (m + 1)) * (2 * m + 1)
+            out[j, m] = (half - chord) / (one * (2 * m + 1) * (m + 1))
+    return out
+
+
+_FAR_MOMENTS = _far_moments()
+
+
 def _correction_block(s: float, n: int, h: float, w: np.ndarray) -> np.ndarray:
     """Start correction as one (n, cells) block; row i - 1 times the data's
     first ``cells`` second differences is the correction at node i.
 
     Cell j is refit through nodes {j, j+1, j+2} with  f0 + a sqrt(z) + b z,
-    so a = Δ²f_j / Δ²sqrt(j) on unit spacing.  Its column, at nodes j+1..n,
-    integrates d/dz[sqrt(z) - its chord]: the incomplete beta at the cell's
-    two ends less the chord slope times ``w``.  The block holds each column
-    divided by Δ²sqrt(j) and scaled by h^(s-1)/Gamma(s).
+    so a = Δ²f_j / Δ²sqrt(j) on unit spacing.  Its column at node k > j is
+    int_j^{j+1} (k-v)^(s-1) g_j(v) dv with g_j = d/dv[sqrt(v) - its chord].
+    The block holds each column divided by Δ²sqrt(j) and scaled by
+    h^(s-1)/Gamma(s).
+
+    Near field, k <= _NEAR_K: the incomplete beta at the cell's two ends less
+    the chord slope times ``w``; the only use of ``betainc``.  These two
+    O(k^(s-1)) terms cancel to an O(k^(s-2)) column, which costs digits as k
+    grows: 7.7e-9 relative at k = 128 against a 40-digit quadrature, and up
+    to 1e-3 at k = 65536 had it been used there.
+
+    Far field, k > _NEAR_K: (k-v)^(s-1) = k^(s-1) sum_m C(s-1,m) (-v/k)^m
+    turns the column into k^(s-1) sum_{m>=1} C(s-1,m) (-1)^m M[j,m] k^-m
+    (M[j,0] = 0), truncated after _FAR_TERMS terms: v/k <= 8/129, and the
+    tail is below 3e-19 of the column at k = 129.  Against a 40-digit
+    quadrature the far columns are within 7.7e-16 relative (k = 129..65536,
+    s = 0.05..1.95).
     """
     # imported here: scipy.special takes ~0.3 s to import; only this function uses it
     from scipy.special import betainc
 
     cells = min(CORRECTION_CELLS, n - 1)
     r = np.sqrt(np.arange(cells + 2, dtype=float))
-    k = np.arange(1, n + 1, dtype=float)
+    col_scale = (h ** (s - 1.0) / math.gamma(s)) / np.diff(r, 2)
+    block = np.zeros((n, cells))
+
+    near = min(n, _NEAR_K)
+    k = np.arange(1, near + 1, dtype=float)
     # int_j^{j+1} (k-v)^{s-1} v^{-1/2} dv = k^{s-1/2} B(1/2,s) [I_{(j+1)/k} - I_{j/k}]
     half_beta = 0.5 * math.gamma(0.5) * math.gamma(s) / math.gamma(0.5 + s)
     scale = half_beta * k ** (s - 0.5)
-    block = np.zeros((n, cells))
-    left = np.zeros(n)
+    left = np.zeros(near)
     for j in range(cells):
         right = betainc(0.5, s, (j + 1) / k[j:])
-        block[j:, j] = scale[j:] * (right - left) - ((r[j + 1] - r[j]) / s) * w[1 : n - j + 1]
+        chord = ((r[j + 1] - r[j]) / s) * w[1 : near - j + 1]
+        block[j:near, j] = scale[j:] * (right - left) - chord
         left = right[1:]
-    block *= (h ** (s - 1.0) / math.gamma(s)) / np.diff(r, 2)
+    block[:near] *= col_scale
+
+    if n > near:
+        m = np.arange(1, _FAR_TERMS + 1)
+        # C(s-1,m) (-1)^m = prod_{i<=m} (i-s)/i
+        coef = np.cumprod((m - s) / m)[:, None] * _FAR_MOMENTS[:, 1:].T * col_scale
+        # chunks keep the (terms, rows) powers in cache and the product small
+        for lo in range(near, n, _FAR_CHUNK):
+            k = np.arange(lo + 1, min(lo + _FAR_CHUNK, n) + 1, dtype=float)
+            x = 1.0 / k
+            powers = np.empty((_FAR_TERMS, k.size))
+            powers[0] = k ** (s - 1.0) * x
+            for i in range(1, _FAR_TERMS):
+                np.multiply(powers[i - 1], x, out=powers[i])
+            np.matmul(powers.T, coef, out=block[lo : lo + k.size])
     return block
 
 

@@ -78,13 +78,16 @@ _CANCELLATION_LIMIT = 1e-11
 def mittag_leffler_terms(params: MLParams, z: float) -> tuple[float, int]:
     """Evaluate E_{alpha,beta}(z) returning (value, number_of_terms).
 
-    Stops at term k once |term_k| <= tol * |partial_sum| and k >= 5; term
-    magnitudes are formed in log space.  Raises MLConvergenceError (carrying
-    the partial sum, inf if the sum itself overflowed) if max_terms is
-    exhausted, a term or the sum overflows float64, or the terms cancel so
-    far that their rounding error 2^-52 max|term| exceeds 1e-11 |sum|.
+    A non-finite z raises ValueError.  Stops at term k once
+    |term_k| <= tol * |partial_sum| and k >= 5; term magnitudes are formed in
+    log space.  Raises MLConvergenceError (carrying the partial sum, inf if
+    the sum itself overflowed) if max_terms is exhausted, a term or the sum
+    overflows float64, or the terms cancel so far that their rounding error
+    2^-52 max|term| exceeds 1e-11 |sum|.
     """
     z = float(z)
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if params.alpha == 0.0:
         if abs(z) >= 1.0:
             raise MLDivergenceError(

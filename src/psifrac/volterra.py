@@ -106,6 +106,8 @@ def picard_solve(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = problem.grid()
     op = _composed_op(problem.p, grid)
     phi = SampledFunction.from_callable(grid, problem.phi)

@@ -200,6 +200,14 @@ class TestInputRules:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "infinite domain" in err
 
+    @pytest.mark.parametrize("z", ["inf", "-inf", "nan"])
+    def test_non_finite_ml_argument_rejected(self, capsys, z):
+        # once summed all 2000 terms before reporting non-convergence
+        code, out, err = run_cli(capsys, "ml", "--alpha", "0.5", f"--z={z}")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "finite" in err
+
 
 class TestDeterminism:
     # n=2048 runs the FFT far field of the slope integral
@@ -355,6 +363,16 @@ class TestVolterraCommand:
         log_lines = log.read_text().strip().splitlines()
         assert log_lines[0] == "k,sup_diff"
         assert "converged=True" in log_lines[-1]
+
+    def test_max_iter_below_one_is_one_error_line(self, capsys):
+        # once printed phi as the solution and exited 1 with no error line
+        code, out, err = run_cli(
+            capsys, "volterra", "--n", "64", "--phi", "sin", "--w", "linear:0.5",
+            "--max-iter", "-3",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "max_iter" in err
 
     def test_log_defaults_to_stderr(self, capsys):
         code, out, err = run_cli(

@@ -25,6 +25,10 @@ from psifrac import (
 from psifrac._quadrature import (
     CORRECTION_CELLS,
     DiscreteOp,
+    _FAR_MOMENTS,
+    _FAR_TERMS,
+    _NEAR_K,
+    _correction_block,
     _pwconst_kernel,
     fracint_values,
 )
@@ -161,6 +165,20 @@ class TestPsiIntegral:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_slopes_rule_matches_cellwise_reference(self, s, n, seed):
+        self._check_slopes_rule(s, n, seed)
+
+    # past _NEAR_K nodes the correction block comes from the moment expansion
+    @settings(deadline=None, derandomize=True, max_examples=3)
+    @given(
+        s=st.floats(0.05, 2.0),
+        n=st.integers(_NEAR_K + 1, _NEAR_K + 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slopes_rule_matches_cellwise_reference_past_near_field(self, s, n, seed):
+        self._check_slopes_rule(s, n, seed)
+
+    @staticmethod
+    def _check_slopes_rule(s, n, seed):
         # the slope rule integrates the piecewise-constant slopes exactly;
         # on each correction cell the three-point refit's sqrt coefficient
         # a scales the exact integral of the weight against
@@ -264,6 +282,55 @@ class TestSlopeIntegral:
             ref = np.convolve(np.diff(values) / h, _pwconst_kernel(s, n))[: n + 1]
             ref *= h**s / G(s + 1.0)
             assert np.array_equal(DiscreteOp(s, n, h, corrected=False)(values), ref)
+
+
+class TestStartCorrection:
+    """The correction block's columns on unit spacing against 40-digit
+    quadratures of int_j^{j+1} (k-v)^(s-1) g_j(v) dv, g_j = v^(-1/2)/2 -
+    chord_j, taken as int (k-u^2)^(s-1) (1 - 2 u chord_j) du over
+    [sqrt(j), sqrt(j+1)] (v = u^2 removes the endpoint singularity)."""
+
+    @pytest.mark.parametrize("s", [0.05, 0.7, 1.5, 1.95])
+    def test_columns_match_quadrature(self, s):
+        n = 65536
+        block = _correction_block(s, n, 1.0, _pwconst_kernel(s, n))
+        # undo the stored scaling G(s)^-1 / Δ²sqrt(j)
+        block *= G(s) * np.diff(np.sqrt(np.arange(CORRECTION_CELLS + 2.0)), 2)
+        with mpmath.workdps(40):
+            sm = mpmath.mpf(s)
+            for k in (_NEAR_K, _NEAR_K + 1, 200, 5000, n):
+                for j in range(CORRECTION_CELLS):
+                    chord = mpmath.sqrt(j + 1) - mpmath.sqrt(j)
+                    ref = mpmath.quad(
+                        lambda u: (k - u * u) ** (sm - 1) * (1 - 2 * u * chord),
+                        [mpmath.sqrt(j), mpmath.sqrt(j + 1)],
+                        method="gauss-legendre",
+                    )
+                    err = abs(block[k - 1, j] - ref)
+                    if k > _NEAR_K:
+                        # moment expansion: accurate to its own size
+                        assert err <= 1e-14 * abs(ref), (k, j)
+                    else:
+                        # the incomplete-beta row subtracts two terms of size
+                        # int (k-v)^(s-1) (v^(-1/2)/2 + chord_j): that size
+                        # sets its error (measured 1.7e-13 of it, 7.7e-9 of
+                        # the column at k = 128)
+                        size = ref + 2 * chord * ((k - j) ** sm - (k - j - 1) ** sm) / sm
+                        assert err <= 1e-12 * size, (k, j)
+
+    def test_moment_table_matches_quadrature(self):
+        assert _FAR_MOMENTS.shape == (CORRECTION_CELLS, _FAR_TERMS + 1)
+        assert np.all(_FAR_MOMENTS[:, 0] == 0.0)
+        with mpmath.workdps(40):
+            for j in range(CORRECTION_CELLS):
+                chord = mpmath.sqrt(j + 1) - mpmath.sqrt(j)
+                for m in range(1, _FAR_TERMS + 1):
+                    ref = mpmath.quad(
+                        lambda u: u ** (2 * m) * (1 - 2 * u * chord),
+                        [mpmath.sqrt(j), mpmath.sqrt(j + 1)],
+                        method="gauss-legendre",
+                    )
+                    assert abs(_FAR_MOMENTS[j, m] - ref) <= 1e-15 * abs(ref), (j, m)
 
 
 class TestDiscreteOp:

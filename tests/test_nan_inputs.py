@@ -14,6 +14,7 @@ from psifrac import (
     bound_constant_s,
     contraction_report,
     make_builtin,
+    mittag_leffler_terms,
     picard_solve,
 )
 from psifrac.funcs import resolve_spatial
@@ -46,6 +47,7 @@ CASES = {
     "ml-alpha": lambda: MLParams(alpha=NAN),
     "ml-beta": lambda: MLParams(alpha=0.5, beta=NAN),
     "ml-tol": lambda: MLParams(alpha=0.5, tol=NAN),
+    "ml-argument": lambda: mittag_leffler_terms(MLParams(alpha=0.5), NAN),
     "picard-tol": lambda: picard_solve(_problem(), tol=NAN, max_iter=2),
     "lipschitz-estimate": lambda: contraction_report(_problem(), NAN),
 }

@@ -76,6 +76,13 @@ class TestPicardBasics:
         with pytest.raises(ValueError):
             picard_solve(problem, tol=0.0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_must_be_positive(self, max_iter):
+        # no sweep would run and phi would come back as the solution
+        problem = make_problem(lambda t, s, x: np.zeros_like(x))
+        with pytest.raises(ValueError):
+            picard_solve(problem, tol=1e-8, max_iter=max_iter)
+
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             make_problem(lambda t, s, x: x, n=4)

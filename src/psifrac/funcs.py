@@ -29,12 +29,24 @@ __all__ = ["resolve_spatial", "resolve_state", "SPATIAL_IDS", "STATE_IDS"]
 SPATIAL_IDS = ("one", "zero", "sin", "power:<delta>", "ml:<mu>[:<lam>]", "linear:<lam>")
 STATE_IDS = ("one", "zero", "sin", "linear:<lam>", "power:<delta>")
 
+
+def _power(delta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> u^(delta-1).  For delta < 1 that is inf at u = 0, without a numpy
+    warning: the caller's finiteness check reports it."""
+
+    def f(u):
+        with np.errstate(divide="ignore"):
+            return u ** (delta - 1.0)
+
+    return f
+
+
 # family -> (argument count, maker of the map u -> f(u) from the arguments)
 _FAMILIES = {
     "one": (0, lambda: np.ones_like),
     "zero": (0, lambda: np.zeros_like),
     "sin": (0, lambda: np.sin),
-    "power": (1, lambda delta: lambda u: u ** (delta - 1.0)),
+    "power": (1, _power),
     "linear": (1, lambda lam: lambda u: lam * u),
 }
 

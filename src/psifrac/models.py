@@ -8,9 +8,11 @@ whose solution through the one-parameter Mittag-Leffler function is
 
     N(t) = N0 * E_mu( lambda (psi(t) - psi(0))^mu ).
 
-For mu -> 1 (and psi = t) this collapses to N0 exp(lambda t).  The series
-converges for every real lambda, so decay (lambda < 0) is supported even
-though the eigen relation is usually quoted for growth rates only.
+For mu -> 1 (and psi = t) this collapses to N0 exp(lambda t).  Decay
+(lambda < 0) is supported at every size of lambda (psi(t) - psi(0))^mu,
+even though the eigen relation is usually quoted for growth rates only:
+past an argument of -1, ``specfun`` evaluates E_mu by a contour integral
+(mu < 1) or by exp (mu = 1), where the alternating series would cancel.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class MalthusSpec:
 
 def malthus_solution(spec: MalthusSpec, t):
     """N(t) = N0 * E_mu(lambda (psi(t) - psi(0))^mu), for a float or an
-    array of times."""
+    array of times, evaluated as one array.  A growth curve whose series
+    overflows float64 raises MLConvergenceError."""
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= spec.horizon)):
         raise ValueError(f"t must lie in [0, {spec.horizon:g}]")

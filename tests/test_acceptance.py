@@ -393,7 +393,7 @@ def test_c4_limit_probes(smooth_setup):
 def ml_function(grid, mu):
     params = MLParams(alpha=mu)
     z = grid.tau_nodes - grid.tau_nodes[0]
-    vals = np.array([mittag_leffler(params, v**mu) for v in z])
+    vals = mittag_leffler(params, z**mu)
     return SampledFunction(grid, vals)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 import psifrac
 from psifrac import (
@@ -33,6 +34,28 @@ class TestBasicCommands:
         assert code == 0
         assert "value = 2.7182818284590455" in out
         assert out.strip().splitlines()[1].startswith("terms = ")
+
+    @pytest.mark.parametrize(
+        "alpha,z,terms", [("0.5", "-10", 21), ("0.5", "-1000", 16), ("1", "-10", 1)]
+    )
+    def test_ml_negative_argument(self, capsys, alpha, z, terms):
+        # E_{1/2}(-10) once printed a "cancelled" error
+        code, out, err = run_cli(capsys, "ml", "--alpha", alpha, f"--z={z}")
+        assert (code, err) == (0, "")
+        lines = out.strip().splitlines()
+        x = -float(z)
+        ref = erfcx(x) if alpha == "0.5" else math.exp(-x)
+        assert abs(float(lines[0].removeprefix("value = ")) - ref) <= 1e-12 * ref
+        assert lines[1] == f"terms = {terms}"
+
+    def test_ml_large_beta_sums_the_series(self, capsys):
+        # past beta = 4 the contour loses digits; E_{1/2,10}(-5) is summed,
+        # 149 terms, within 1.1e-11 of a 60-digit sum
+        code, out, err = run_cli(capsys, "ml", "--alpha", "0.5", "--beta", "10", "--z=-5")
+        assert (code, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert abs(float(lines[0].removeprefix("value = ")) - 1.0490808800261896e-06) <= 1e-10 * 1.05e-6
+        assert lines[1] == "terms = 149"
 
     def test_bounds_prints_three_constants(self, capsys):
         code, out, _ = run_cli(
@@ -185,6 +208,15 @@ class TestInputRules:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "z >= 0" in err
 
+    def test_power_data_infinite_at_base_is_one_error_line(self, capsys):
+        # z^(-1/2) at the base node once printed a numpy divide warning first
+        code, out, err = run_cli(
+            capsys, "op", "--kind", "rl-deriv", "--mu", "0.6", "--kernel", "sqrt_shift:1",
+            "--a", "0", "--b", "3", "--n", "200", "--f", "power:0.5",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: sampled values must all be finite\n"
+
     def test_nan_kernel_parameter_rejected(self, capsys):
         code, out, err = run_cli(capsys, "kernel", "--kernel", "sqrt_shift:nan")
         assert (code, out) == (1, "")
@@ -262,6 +294,29 @@ class TestImportCost:
     def test_cli_import_loads_no_scipy_special(self):
         # scipy.special costs ~0.3 s; only building the start-correction columns uses it
         assert self.loaded_after_cli_import("scipy.special") == "[]"
+
+    def test_mittag_leffler_needs_only_numpy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import psifrac\n"
+            "from psifrac.cli import main\n"
+            "spec = psifrac.MalthusSpec(100.0, -3.0, psifrac.FracParams(0.5, 1.0),\n"
+            "    psifrac.kernel_from_id('identity', (0.0, 100.0)), 100.0)\n"
+            "print(psifrac.malthus_curve(spec, 4)[1][-1])\n"
+            "print(psifrac.mittag_leffler(psifrac.MLParams(0.5), -10.0))\n"
+            "sys.exit(main(['ml', '--alpha', '0.5', '--z=-10']))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        lines = run.stdout.splitlines()
+        assert abs(float(lines[0]) - 100.0 * erfcx(30.0)) <= 1e-12 * 100.0 * erfcx(30.0)
+        assert abs(float(lines[1]) - erfcx(10.0)) <= 1e-12 * erfcx(10.0)
+        assert lines[2:] == [f"value = {_fmt(float(lines[1]))}", "terms = 21"]
 
 
 class TestConfigFile:
@@ -399,26 +454,39 @@ class TestMalthusCommand:
             100 * math.exp(0.6), rel=1e-12
         )
 
-    def test_cancelled_series_is_one_error_line(self, capsys):
-        # E_{1/2}(-3 sqrt(10)) cancels; this run once printed 4e19 and exited 0
+    def test_sum_overflow_is_one_error_line(self, capsys):
+        # every term of E_1(712) is finite, their sum is not
         code, out, err = run_cli(
-            capsys, "malthus", "--lambda", "-3", "--mu", "0.5", "--nu", "1",
-            "--t-max", "10",
+            capsys, "malthus", "--lambda", "1", "--mu", "1", "--nu", "1",
+            "--t-max", "712", "--steps", "1",
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "cancelled" in err
+        assert err.startswith("error: ") and "overflows" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_series_overflow_is_one_error_line(self, capsys):
         code, out, err = run_cli(
-            capsys, "malthus", "--lambda", "-3", "--mu", "0.5", "--nu", "1",
-            "--t-max", "100", "--steps", "5",
+            capsys, "malthus", "--lambda", "3", "--mu", "0.5", "--nu", "1",
+            "--t-max", "1000",
         )
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("mu", ["0.5", "1"])
+    def test_decay_curve(self, capsys, mu):
+        # -3 t^mu reaches -30 and -100; the series once cancelled here
+        code, out, err = run_cli(
+            capsys, "malthus", "--lambda", "-3", "--mu", mu, "--nu", "1",
+            "--t-max", "100", "--steps", "5",
+        )
+        assert (code, err) == (0, "")
+        rows = np.array([line.split(",") for line in out.strip().splitlines()[1:]], dtype=float)
+        t, n = rows[:, 0], rows[:, 1]
+        ref = 100.0 * (erfcx(3.0 * np.sqrt(t)) if mu == "0.5" else np.exp(-3.0 * t))
+        assert np.all(np.abs(n - ref) <= 1e-12 * ref)
 
 
 class TestFiguresCommand:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from psifrac import (
     FracParams,
     MalthusSpec,
-    MLConvergenceError,
     MLParams,
     PowerFunctionSpec,
     make_builtin,
@@ -70,11 +70,13 @@ class TestSolution:
         ref = [malthus_solution(spec, t) for t in ts.tolist()]
         assert np.array_equal(malthus_solution(spec, ts), ref)
 
-    def test_cancelled_decay_raises(self):
-        # lambda (psi(t) - psi(0))^mu reaches -3 sqrt(10): past the series
+    def test_decay_matches_erfcx(self):
+        # lambda (psi(t) - psi(0))^mu reaches -3 sqrt(10), where the series
+        # once cancelled and raised; N = N0 erfcx(3 sqrt(t)) at mu = 1/2
         spec = make_spec(lam=-3.0, mu=0.5, horizon=10.0)
-        with pytest.raises(MLConvergenceError):
-            malthus_curve(spec, 20)
+        ts, ns = malthus_curve(spec, 20)
+        ref = 100.0 * erfcx(3.0 * np.sqrt(ts))
+        assert np.max(np.abs(ns - ref) / ref) <= 1e-12
 
     def test_domain_checks(self):
         spec = make_spec()

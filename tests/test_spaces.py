@@ -141,7 +141,7 @@ class TestEmpiricalBoundedness:
             "one": np.ones(grid.n + 1),
             "sqrt": z**0.5,
             "linear": z,
-            "ml": np.array([mittag_leffler(ml, v**mu) for v in z]),
+            "ml": mittag_leffler(ml, z**mu),
             "sin": np.sin(z),
         }
         s_const = bound_constant_s(p, kernel, 0.0, 1.0)

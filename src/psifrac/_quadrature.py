@@ -20,10 +20,7 @@ exactly.  Without it any polynomial cell model keeps an n-independent
 relative error a few nodes from the base point whenever the data carry the
 z^(1/2)-type behaviour that fractional operators produce.  It is linear in
 the data's second differences over the first cells, so it is one (n, cells)
-block, applied by one matrix-vector product.  Its first ``_NEAR_K`` rows
-are exact incomplete-beta integrals (the only use of ``scipy.special``);
-every later row is a moment expansion in 1/k, accurate to a few 1e-16
-relative against 40-digit quadrature, in O(n) with no special function.
+block, applied by one matrix-vector product and built in numpy alone.
 """
 
 from __future__ import annotations
@@ -45,9 +42,11 @@ CORRECTION_CELLS = 8
 # is used (at n = 1024 both take about 0.1 ms)
 _DIRECT_N = 1024
 
-# correction rows 1.._NEAR_K use the exact incomplete-beta columns; later rows
-# a _FAR_TERMS-term moment expansion in 1/k, evaluated _FAR_CHUNK rows at a time
+# correction rows 1.._NEAR_K: a _NEAR_NODES-point rule and a _NEAR_TERMS-term
+# series; later rows: _FAR_TERMS moments in 1/k, _FAR_CHUNK rows at a time
 _NEAR_K = 128
+_NEAR_NODES = 16
+_NEAR_TERMS = 48
 _FAR_TERMS = 16
 _FAR_CHUNK = 2048
 
@@ -77,49 +76,68 @@ def _far_moments() -> np.ndarray:
 _FAR_MOMENTS = _far_moments()
 
 
-def _correction_block(s: float, n: int, h: float, w: np.ndarray) -> np.ndarray:
+def _near_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows k by cells j by nodes: k - v = (k-j-1) + (j+1 - v) at nodes u = sqrt(v)
+    of a Gauss-Legendre rule (Newton on the Legendre recurrence) and weights
+    w 2u q_j(u), zero for k <= j+1; for cells j >= 1 the series' b_m (m-1)."""
+    # numpy.polynomial's leggauss would add ~5 ms to the import
+    x = np.cos(np.pi * (np.arange(_NEAR_NODES) + 0.75) / (_NEAR_NODES + 0.5))
+    for _ in range(5):
+        p0, p1, dp = np.ones_like(x), x, np.ones_like(x)
+        for i in range(2, _NEAR_NODES + 1):
+            p0, p1, dp = p1, ((2 * i - 1) * x * p1 - (i - 1) * p0) / i, i * p1 + x * dp
+        x = x - p1 / dp
+    r = np.sqrt(np.arange(CORRECTION_CELLS + 1.0))[:, None]
+    chord = 1.0 / (r[1:] + r[:-1])  # sqrt(j+1) - sqrt(j), uncancelled
+    u = r[:-1] + 0.5 * chord * (1.0 + x)
+    gap = np.arange(1.0, _NEAR_K + 1.0)[:, None] - np.arange(1.0, CORRECTION_CELLS + 1.0)
+    base = np.maximum(gap, 0.0)[..., None] + 0.5 * chord * (1.0 - x) * (r[1:] + u)
+    # w (1 - x^2) = 2 / P'(x)^2, and q_j(u) = chord^3 (1 - x^2) / 4
+    weights = np.where(gap[..., None] > 0.0, 0.5 * chord**4 * u / dp**2, 0.0)
+    m = np.arange(2.0, _NEAR_TERMS + 2.0)
+    binom = 0.125 * np.cumprod(np.concatenate(([1.0], (m[1:] - 1.5) / m[1:])))  # |C(1/2,m)|
+    top = np.arange(2.0, CORRECTION_CELLS + 1.0)[:, None]  # j + 1
+    return base, weights, np.sqrt(top) * binom * (m - 1.0) / top**m
+
+
+_NEAR_BASE, _NEAR_W, _NEAR_SERIES = _near_tables()
+
+
+def _correction_block(s: float, n: int, h: float) -> np.ndarray:
     """Start correction as one (n, cells) block; row i - 1 times the data's
     first ``cells`` second differences is the correction at node i.
 
-    Cell j is refit through nodes {j, j+1, j+2} with  f0 + a sqrt(z) + b z,
-    so a = Δ²f_j / Δ²sqrt(j) on unit spacing.  Its column at node k > j is
-    int_j^{j+1} (k-v)^(s-1) g_j(v) dv with g_j = d/dv[sqrt(v) - its chord].
-    The block holds each column divided by Δ²sqrt(j) and scaled by
-    h^(s-1)/Gamma(s).
+    Cell j is refit through nodes {j, j+1, j+2} with f0 + a sqrt(z) + b z, so
+    a = Δ²f_j / Δ²sqrt(j) on unit spacing.  Its column at node k > j is C_j(k)
+    = int_j^{j+1} (k-v)^(s-1) q_j'(v) dv, q_j = sqrt(v) less its chord; the
+    block holds it divided by Δ²sqrt(j) and scaled by h^(s-1)/Gamma(s).
 
-    Near field, k <= _NEAR_K: the incomplete beta at the cell's two ends less
-    the chord slope times ``w``; the only use of ``betainc``.  These two
-    O(k^(s-1)) terms cancel to an O(k^(s-2)) column, which costs digits as k
-    grows: 7.7e-9 relative at k = 128 against a 40-digit quadrature, and up
-    to 1e-3 at k = 65536 had it been used there.
+    Rows k <= _NEAR_K, by parts: C_j(k) = (s-1) int (k-v)^(s-2) q_j(v) dv with
+    q_j = (u - sqrt(j)) (sqrt(j+1) - u) chord_j >= 0, u = sqrt(v); for k >= j+2
+    a sum of positive terms over a Gauss-Legendre rule in u.  At k = j+1 >= 2
+    the series of sqrt(j+1-t) and q_j(j+1) = 0 give (s-1)/s sum_{m>=2} b_m
+    (m-1)/(s+m-1), b_m = sqrt(j+1) |C(1/2,m)| (j+1)^-m.  sqrt(2v) = sqrt(2)
+    sqrt(v) gives C_0(1) = 2^(1/2-s) [C_0(2) + C_1(2) + (2-sqrt(2))
+    (2^(s-1)-1)/s], three terms of the sign of s-1, where B(1/2,s)/2 - 1/s
+    cancels.  Within 3.2e-15 relative of 40-digit quadrature (adjacent 7.2e-16).
 
-    Far field, k > _NEAR_K: (k-v)^(s-1) = k^(s-1) sum_m C(s-1,m) (-v/k)^m
-    turns the column into k^(s-1) sum_{m>=1} C(s-1,m) (-1)^m M[j,m] k^-m
-    (M[j,0] = 0), truncated after _FAR_TERMS terms: v/k <= 8/129, and the
-    tail is below 3e-19 of the column at k = 129.  Against a 40-digit
-    quadrature the far columns are within 7.7e-16 relative (k = 129..65536,
-    s = 0.05..1.95).
+    Rows k > _NEAR_K: (k-v)^(s-1) = k^(s-1) sum_m C(s-1,m) (-v/k)^m gives
+    k^(s-1) sum_{m>=1} C(s-1,m) (-1)^m M[j,m] k^-m, truncated after
+    _FAR_TERMS terms (v/k <= 8/129: the tail is below 3e-19 of the column);
+    within 7.7e-16 relative of 40-digit quadrature (k = 129..65536).
     """
-    # imported here: scipy.special takes ~0.3 s to import; only this function uses it
-    from scipy.special import betainc
-
     cells = min(CORRECTION_CELLS, n - 1)
     r = np.sqrt(np.arange(cells + 2, dtype=float))
     col_scale = (h ** (s - 1.0) / math.gamma(s)) / np.diff(r, 2)
     block = np.zeros((n, cells))
 
     near = min(n, _NEAR_K)
-    k = np.arange(1, near + 1, dtype=float)
-    # int_j^{j+1} (k-v)^{s-1} v^{-1/2} dv = k^{s-1/2} B(1/2,s) [I_{(j+1)/k} - I_{j/k}]
-    half_beta = 0.5 * math.gamma(0.5) * math.gamma(s) / math.gamma(0.5 + s)
-    scale = half_beta * k ** (s - 0.5)
-    left = np.zeros(near)
-    for j in range(cells):
-        right = betainc(0.5, s, (j + 1) / k[j:])
-        chord = ((r[j + 1] - r[j]) / s) * w[1 : near - j + 1]
-        block[j:near, j] = scale[j:] * (right - left) - chord
-        left = right[1:]
-    block[:near] *= col_scale
+    cols = (s - 1.0) * np.einsum("kji,kji->kj", _NEAR_BASE ** (s - 2.0), _NEAR_W)
+    adjacent = (s - 1.0) / s * (_NEAR_SERIES @ (1.0 / (s + np.arange(1.0, _NEAR_TERMS + 1.0))))
+    tail = (2.0 - math.sqrt(2.0)) * math.expm1((s - 1.0) * math.log(2.0)) / s
+    c00 = 2.0 ** (0.5 - s) * (cols[1, 0] + adjacent[0] + tail)
+    np.fill_diagonal(cols, np.concatenate(([c00], adjacent)))
+    block[:near] = cols[:near, :cells] * col_scale
 
     if n > near:
         m = np.arange(1, _FAR_TERMS + 1)
@@ -154,7 +172,7 @@ class DiscreteOp:
                 # L >= 2n: no circular wrap-around reaches the kept outputs
                 self._table_fft = np.fft.rfft(self._table, 1 << (2 * n - 1).bit_length())
             if corrected:
-                self._block = _correction_block(self.s, n, h, self._table)
+                self._block = _correction_block(self.s, n, h)
         self._base = None
         if base_exponent is not None:
             self._base = np.zeros(n + 1)

@@ -63,6 +63,8 @@ def malthus_solution(spec: MalthusSpec, t):
 
 def malthus_curve(spec: MalthusSpec, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Solution sampled at steps+1 equally spaced times on [0, horizon]."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     ts = np.linspace(0.0, spec.horizon, steps + 1)
     return ts, malthus_solution(spec, ts)
 

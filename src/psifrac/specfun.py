@@ -40,11 +40,12 @@ _GAMMA_OVERFLOW = 171
 
 
 def gamma(x: float) -> float:
-    """Gamma function with explicit pole errors.
+    """Gamma function with explicit pole and overflow errors.
 
     Exact (in floating point) at positive integers; elsewhere delegates to
     the C library implementation, which uses a Lanczos-type approximation
-    and the reflection formula for negative non-integer arguments.
+    and the reflection formula for negative non-integer arguments.  Past
+    x ~ 171.62 the value overflows float64, which raises ValueError.
     """
     x = float(x)
     if x == math.floor(x):
@@ -52,7 +53,10 @@ def gamma(x: float) -> float:
             raise GammaPoleError(f"gamma pole at x = {x:g}")
         if x <= _GAMMA_OVERFLOW:
             return float(math.factorial(int(x) - 1))
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ValueError(f"gamma({x:g}) overflows float64") from None
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ def _rgamma(v: float) -> float:
     """1/Gamma(v), 0 at the poles."""
     if v <= 0.0 and v == math.floor(v):
         return 0.0
-    return 1.0 / math.gamma(v) if v < _GAMMA_OVERFLOW else math.exp(-math.lgamma(v))
+    return 1.0 / gamma(v) if v < _GAMMA_OVERFLOW else math.exp(-math.lgamma(v))
 
 
 def _asymptotic(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
@@ -267,10 +271,10 @@ def _evaluate(params: MLParams, z) -> tuple[np.ndarray, np.ndarray]:
             raise MLDivergenceError(
                 f"E_0 is a geometric series; needs |z| < 1, got z = {flat[outside][0]:g}"
             )
-        values = 1.0 / ((1.0 - flat) * gamma(b))
+        values = _rgamma(b) / (1.0 - flat)
     else:
         series = flat != 0.0
-        values[~series] = 1.0 / gamma(b)
+        values[~series] = _rgamma(b)
         low = flat < _SPLIT
         if a == b == 1.0:
             values[low] = np.exp(flat[low])

@@ -232,6 +232,20 @@ class TestInputRules:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "infinite domain" in err
 
+    @pytest.mark.parametrize("alpha,z", [("0.5", "0"), ("0", "0.5")])
+    def test_ml_closed_form_past_gamma_overflow_underflows(self, capsys, alpha, z):
+        # 1/Gamma(200) underflows; Gamma(200) once ended in an OverflowError
+        code, out, err = run_cli(capsys, "ml", "--alpha", alpha, "--beta", "200", "--z", z)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["value = 0", "terms = 1"]
+
+    def test_oracle_gamma_overflow_is_one_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "--which", "power-int", "--delta", "200", "--x", "0.5"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: gamma(200) overflows float64\n"
+
     @pytest.mark.parametrize("z", ["inf", "-inf", "nan"])
     def test_non_finite_ml_argument_rejected(self, capsys, z):
         # once summed all 2000 terms before reporting non-convergence
@@ -292,7 +306,7 @@ class TestImportCost:
         assert self.loaded_after_cli_import("scipy.signal", "scipy.fft") == "[]"
 
     def test_cli_import_loads_no_scipy_special(self):
-        # scipy.special costs ~0.3 s; only building the start-correction columns uses it
+        # scipy.special costs ~0.3 s to import
         assert self.loaded_after_cli_import("scipy.special") == "[]"
 
     def test_mittag_leffler_needs_only_numpy(self):
@@ -317,6 +331,39 @@ class TestImportCost:
         assert abs(float(lines[0]) - 100.0 * erfcx(30.0)) <= 1e-12 * 100.0 * erfcx(30.0)
         assert abs(float(lines[1]) - erfcx(10.0)) <= 1e-12 * erfcx(10.0)
         assert lines[2:] == [f"value = {_fmt(float(lines[1]))}", "terms = 21"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # near rows, moment-expansion rows and the FFT slope integral
+            ["op", "--kind", "psi-frac", "--n", "4096", "--f", "sin"],
+            ["volterra", "--n", "256", "--w", "linear:-1"],
+        ],
+        ids=["op", "volterra"],
+    )
+    def test_corrected_operators_need_only_numpy(self, tmp_path, capsys, argv):
+        # volterra's iteration log goes to a file, so stderr carries errors only
+        def with_log(name):
+            return argv + ["--log", str(tmp_path / name)] if argv[0] == "volterra" else argv
+
+        code, out, err = run_cli(capsys, *with_log("in_process.log"))
+        assert (code, err) == (0, "")
+        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from psifrac.cli import main\n"
+            f"sys.exit(main({with_log('blocked.log')!r}))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == out
+        if argv[0] == "volterra":
+            logs = [(tmp_path / name).read_text() for name in ("in_process.log", "blocked.log")]
+            assert logs[0] == logs[1]
 
 
 class TestConfigFile:
@@ -474,6 +521,17 @@ class TestMalthusCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_negative_steps_is_one_error_line(self, capsys):
+        # once printed a bare header and exited 0
+        code, out, err = run_cli(capsys, "malthus", "--steps", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: steps must be >= 0, got -1\n"
+
+    def test_zero_steps_prints_the_start_row(self, capsys):
+        code, out, err = run_cli(capsys, "malthus", "--steps", "0")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["t,N", "0,100"]
 
     @pytest.mark.parametrize("mu", ["0.5", "1"])
     def test_decay_curve(self, capsys, mu):

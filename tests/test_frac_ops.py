@@ -287,36 +287,37 @@ class TestSlopeIntegral:
 class TestStartCorrection:
     """The correction block's columns on unit spacing against 40-digit
     quadratures of int_j^{j+1} (k-v)^(s-1) g_j(v) dv, g_j = v^(-1/2)/2 -
-    chord_j, taken as int (k-u^2)^(s-1) (1 - 2 u chord_j) du over
-    [sqrt(j), sqrt(j+1)] (v = u^2 removes the endpoint singularity)."""
+    chord_j.  For k >= j+2 it is taken as int (k-u^2)^(s-1) (1 - 2 u chord_j) du
+    over [sqrt(j), sqrt(j+1)] (v = u^2 removes the endpoint singularity); next
+    to the cell (k = j+1) as (1/s) int_0^1 g_j(j+1 - r^(1/s)) dr, split at 1/2
+    (r = (j+1-v)^s removes the weight's singularity)."""
 
-    @pytest.mark.parametrize("s", [0.05, 0.7, 1.5, 1.95])
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.999, 1.001, 1.5, 1.95])
     def test_columns_match_quadrature(self, s):
         n = 65536
-        block = _correction_block(s, n, 1.0, _pwconst_kernel(s, n))
+        block = _correction_block(s, n, 1.0)
         # undo the stored scaling G(s)^-1 / Δ²sqrt(j)
         block *= G(s) * np.diff(np.sqrt(np.arange(CORRECTION_CELLS + 2.0)), 2)
+        # every adjacent and every k = j+2 entry, the near field's last row, and
+        # the moment expansion's first rows up to n
+        rows = [*range(1, 11), 64, _NEAR_K, _NEAR_K + 1, 200, 5000, n]
         with mpmath.workdps(40):
             sm = mpmath.mpf(s)
-            for k in (_NEAR_K, _NEAR_K + 1, 200, 5000, n):
-                for j in range(CORRECTION_CELLS):
+            for k in rows:
+                for j in range(min(k, CORRECTION_CELLS)):
                     chord = mpmath.sqrt(j + 1) - mpmath.sqrt(j)
-                    ref = mpmath.quad(
-                        lambda u: (k - u * u) ** (sm - 1) * (1 - 2 * u * chord),
-                        [mpmath.sqrt(j), mpmath.sqrt(j + 1)],
-                        method="gauss-legendre",
-                    )
-                    err = abs(block[k - 1, j] - ref)
-                    if k > _NEAR_K:
-                        # moment expansion: accurate to its own size
-                        assert err <= 1e-14 * abs(ref), (k, j)
+                    if k == j + 1:
+                        ref = mpmath.quad(
+                            lambda r: 1 / (2 * mpmath.sqrt(k - r ** (1 / sm))) - chord,
+                            [0, 0.5, 1],
+                        ) / sm
                     else:
-                        # the incomplete-beta row subtracts two terms of size
-                        # int (k-v)^(s-1) (v^(-1/2)/2 + chord_j): that size
-                        # sets its error (measured 1.7e-13 of it, 7.7e-9 of
-                        # the column at k = 128)
-                        size = ref + 2 * chord * ((k - j) ** sm - (k - j - 1) ** sm) / sm
-                        assert err <= 1e-12 * size, (k, j)
+                        ref = mpmath.quad(
+                            lambda u: (k - u * u) ** (sm - 1) * (1 - 2 * u * chord),
+                            [mpmath.sqrt(j), mpmath.sqrt(j + 1)],
+                            method="gauss-legendre",
+                        )
+                    assert abs(block[k - 1, j] - ref) <= 1e-14 * abs(ref), (k, j)
 
     def test_moment_table_matches_quadrature(self):
         assert _FAR_MOMENTS.shape == (CORRECTION_CELLS, _FAR_TERMS + 1)

@@ -97,6 +97,13 @@ class TestCurve:
         assert ts.shape == (51,) and ns.shape == (51,)
         assert ns[0] == pytest.approx(100.0)
 
+    def test_steps_must_not_be_negative(self):
+        spec = make_spec()
+        with pytest.raises(ValueError, match="steps"):
+            malthus_curve(spec, -1)
+        ts, ns = malthus_curve(spec, 0)
+        assert ts.tolist() == [0.0] and ns.tolist() == [100.0]
+
 
 class TestResidual:
     def test_zero_rate_equals_derivative_of_constant(self):

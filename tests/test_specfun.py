@@ -100,6 +100,11 @@ class TestGamma:
         with pytest.raises(GammaPoleError):
             gamma(x)
 
+    @pytest.mark.parametrize("x", [171.7, 200.0, 1e6])
+    def test_overflow_raises_value_error(self, x):
+        with pytest.raises(ValueError, match="overflows"):
+            gamma(x)
+
     def test_negative_noninteger_reflection(self):
         # Gamma(-0.5) = -2 sqrt(pi)
         assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
@@ -202,6 +207,14 @@ class TestMittagLeffler:
         assert mittag_leffler(MLParams(0.7, 1.3), 0.0) == pytest.approx(
             1.0 / gamma(1.3), rel=1e-15
         )
+
+    @pytest.mark.parametrize("alpha,z", [(0.7, 0.0), (0.0, 0.5)])
+    def test_closed_forms_past_gamma_overflow(self, alpha, z):
+        # the z = 0 and alpha = 0 closed forms, 1/Gamma(beta) and
+        # 1/((1 - z) Gamma(beta)), underflow past beta ~ 171.6 instead of raising
+        ref = float(mpmath.rgamma(172)) / (1.0 - z)
+        assert mittag_leffler(MLParams(alpha, 172.0), z) == pytest.approx(ref, rel=1e-12)
+        assert mittag_leffler(MLParams(alpha, 200.0), z) == 0.0
 
     @pytest.mark.parametrize(
         "alpha,z", [(0.5, -5.0), (0.5, -10.0), (1.0, -8.0), (1.0, -30.0)]

@@ -20,7 +20,8 @@ exactly.  Without it any polynomial cell model keeps an n-independent
 relative error a few nodes from the base point whenever the data carry the
 z^(1/2)-type behaviour that fractional operators produce.  It is linear in
 the data's second differences over the first cells, so it is one (n, cells)
-block, applied by one matrix-vector product and built in numpy alone.
+block, applied by one matrix-vector product.  One Gauss-Legendre rule per
+cell builds it: summed directly near the base point, expanded in 1/k past it.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ CORRECTION_CELLS = 8
 # is used (at n = 1024 both take about 0.1 ms)
 _DIRECT_N = 1024
 
-# correction rows 1.._NEAR_K: a _NEAR_NODES-point rule and a _NEAR_TERMS-term
-# series; later rows: _FAR_TERMS moments in 1/k, _FAR_CHUNK rows at a time
+# correction rows 1.._NEAR_K: one _NEAR_NODES-point rule per cell and a
+# _NEAR_TERMS-term series; later rows: the rule in 1/k, _FAR_CHUNK at a time
 _NEAR_K = 128
 _NEAR_NODES = 16
 _NEAR_TERMS = 48
-_FAR_TERMS = 16
+# v^m q_j has degree 2m + 3 in u, so the rule integrates m <= _NEAR_NODES - 2
+_FAR_TERMS = _NEAR_NODES - 1
 _FAR_CHUNK = 2048
 
 
@@ -57,29 +59,10 @@ def _pwconst_kernel(s: float, n: int) -> np.ndarray:
     return v
 
 
-def _far_moments() -> np.ndarray:
-    """M[j, m] = int_j^{j+1} v^m (v^(-1/2)/2 - chord_j) dv, m = 0.._FAR_TERMS,
-    chord_j = sqrt(j+1) - sqrt(j); M[j, 0] = 0.  The closed form's two terms
-    cancel (in float64 to ~1e-12 relative), so they are formed in integers
-    from square roots to 50 digits and rounded once by the int division."""
-    one = 10**50
-    out = np.zeros((CORRECTION_CELLS, _FAR_TERMS + 1))
-    for j in range(CORRECTION_CELLS):
-        r_lo, r_hi = math.isqrt(j * one * one), math.isqrt((j + 1) * one * one)
-        for m in range(1, _FAR_TERMS + 1):
-            half = ((j + 1) ** m * r_hi - j**m * r_lo) * (m + 1)
-            chord = (r_hi - r_lo) * ((j + 1) ** (m + 1) - j ** (m + 1)) * (2 * m + 1)
-            out[j, m] = (half - chord) / (one * (2 * m + 1) * (m + 1))
-    return out
-
-
-_FAR_MOMENTS = _far_moments()
-
-
-def _near_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows k by cells j by nodes: k - v = (k-j-1) + (j+1 - v) at nodes u = sqrt(v)
-    of a Gauss-Legendre rule (Newton on the Legendre recurrence) and weights
-    w 2u q_j(u), zero for k <= j+1; for cells j >= 1 the series' b_m (m-1)."""
+def _rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell a Gauss-Legendre rule (Newton on the Legendre recurrence) in u =
+    sqrt(v), W = w 2u q_j(u): rows k by cells j by nodes k - v = (k-j-1) + (j+1-v)
+    and W, zero for k <= j+1; Q[j, m] = sum_i W_ji v_ji^m; cells j >= 1: b_m (m-1)."""
     # numpy.polynomial's leggauss would add ~5 ms to the import
     x = np.cos(np.pi * (np.arange(_NEAR_NODES) + 0.75) / (_NEAR_NODES + 0.5))
     for _ in range(5):
@@ -93,14 +76,16 @@ def _near_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gap = np.arange(1.0, _NEAR_K + 1.0)[:, None] - np.arange(1.0, CORRECTION_CELLS + 1.0)
     base = np.maximum(gap, 0.0)[..., None] + 0.5 * chord * (1.0 - x) * (r[1:] + u)
     # w (1 - x^2) = 2 / P'(x)^2, and q_j(u) = chord^3 (1 - x^2) / 4
-    weights = np.where(gap[..., None] > 0.0, 0.5 * chord**4 * u / dp**2, 0.0)
+    w = 0.5 * chord**4 * u / dp**2
+    weights = np.where(gap[..., None] > 0.0, w, 0.0)
+    moments = np.einsum("ji,jim->jm", w, (u * u)[..., None] ** np.arange(_FAR_TERMS))
     m = np.arange(2.0, _NEAR_TERMS + 2.0)
     binom = 0.125 * np.cumprod(np.concatenate(([1.0], (m[1:] - 1.5) / m[1:])))  # |C(1/2,m)|
     top = np.arange(2.0, CORRECTION_CELLS + 1.0)[:, None]  # j + 1
-    return base, weights, np.sqrt(top) * binom * (m - 1.0) / top**m
+    return base, weights, moments, np.sqrt(top) * binom * (m - 1.0) / top**m
 
 
-_NEAR_BASE, _NEAR_W, _NEAR_SERIES = _near_tables()
+_NEAR_BASE, _NEAR_W, _MOMENTS, _NEAR_SERIES = _rule_tables()
 
 
 def _correction_block(s: float, n: int, h: float) -> np.ndarray:
@@ -108,23 +93,20 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
     first ``cells`` second differences is the correction at node i.
 
     Cell j is refit through nodes {j, j+1, j+2} with f0 + a sqrt(z) + b z, so
-    a = Δ²f_j / Δ²sqrt(j) on unit spacing.  Its column at node k > j is C_j(k)
-    = int_j^{j+1} (k-v)^(s-1) q_j'(v) dv, q_j = sqrt(v) less its chord; the
-    block holds it divided by Δ²sqrt(j) and scaled by h^(s-1)/Gamma(s).
+    a = Δ²f_j / Δ²sqrt(j) on unit spacing.  Its column at node k > j is, by
+    parts, C_j(k) = (s-1) int_j^{j+1} (k-v)^(s-2) q_j(v) dv, q_j = sqrt(v) less
+    its chord >= 0; the block holds it divided by Δ²sqrt(j) and scaled by
+    h^(s-1)/Gamma(s).  One rule makes it (s-1) sum_i W_ji (k-v_ji)^(s-2), a sum
+    of positive terms: direct for j+2 <= k <= _NEAR_K, and past that expanded
+    in 1/k, k^(s-2) sum_m (s-1) C(s-2,m) (-1)^m Q[j,m] k^-m, cut after
+    _FAR_TERMS terms (v/k <= 8/129: the tail is below 2e-17 of the column).
 
-    Rows k <= _NEAR_K, by parts: C_j(k) = (s-1) int (k-v)^(s-2) q_j(v) dv with
-    q_j = (u - sqrt(j)) (sqrt(j+1) - u) chord_j >= 0, u = sqrt(v); for k >= j+2
-    a sum of positive terms over a Gauss-Legendre rule in u.  At k = j+1 >= 2
-    the series of sqrt(j+1-t) and q_j(j+1) = 0 give (s-1)/s sum_{m>=2} b_m
-    (m-1)/(s+m-1), b_m = sqrt(j+1) |C(1/2,m)| (j+1)^-m.  sqrt(2v) = sqrt(2)
-    sqrt(v) gives C_0(1) = 2^(1/2-s) [C_0(2) + C_1(2) + (2-sqrt(2))
-    (2^(s-1)-1)/s], three terms of the sign of s-1, where B(1/2,s)/2 - 1/s
-    cancels.  Within 3.2e-15 relative of 40-digit quadrature (adjacent 7.2e-16).
-
-    Rows k > _NEAR_K: (k-v)^(s-1) = k^(s-1) sum_m C(s-1,m) (-v/k)^m gives
-    k^(s-1) sum_{m>=1} C(s-1,m) (-1)^m M[j,m] k^-m, truncated after
-    _FAR_TERMS terms (v/k <= 8/129: the tail is below 3e-19 of the column);
-    within 7.7e-16 relative of 40-digit quadrature (k = 129..65536).
+    At k = j+1 >= 2 the series of sqrt(j+1-t) and q_j(j+1) = 0 give (s-1)/s
+    sum_{m>=2} b_m (m-1)/(s+m-1), b_m = sqrt(j+1) |C(1/2,m)| (j+1)^-m.
+    sqrt(2v) = sqrt(2) sqrt(v) gives C_0(1) = 2^(1/2-s) [C_0(2) + C_1(2) +
+    (2-sqrt(2)) (2^(s-1)-1)/s], three terms of the sign of s-1, where
+    B(1/2,s)/2 - 1/s cancels.  Against 40-digit quadrature: within 3.2e-15
+    relative for k <= _NEAR_K (adjacent 7.2e-16) and 1.8e-15 past it.
     """
     cells = min(CORRECTION_CELLS, n - 1)
     r = np.sqrt(np.arange(cells + 2, dtype=float))
@@ -140,15 +122,16 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
     block[:near] = cols[:near, :cells] * col_scale
 
     if n > near:
-        m = np.arange(1, _FAR_TERMS + 1)
-        # C(s-1,m) (-1)^m = prod_{i<=m} (i-s)/i
-        coef = np.cumprod((m - s) / m)[:, None] * _FAR_MOMENTS[:, 1:].T * col_scale
+        m = np.arange(1.0, _FAR_TERMS)
+        # (s-1) C(s-2,m) (-1)^m = (s-1) prod_{i<=m} (i+1-s)/i
+        coef = np.cumprod(np.concatenate(([s - 1.0], (m + 1.0 - s) / m)))
+        coef = coef[:, None] * _MOMENTS.T * col_scale
         # chunks keep the (terms, rows) powers in cache and the product small
         for lo in range(near, n, _FAR_CHUNK):
             k = np.arange(lo + 1, min(lo + _FAR_CHUNK, n) + 1, dtype=float)
             x = 1.0 / k
             powers = np.empty((_FAR_TERMS, k.size))
-            powers[0] = k ** (s - 1.0) * x
+            powers[0] = k ** (s - 2.0)
             for i in range(1, _FAR_TERMS):
                 np.multiply(powers[i - 1], x, out=powers[i])
             np.matmul(powers.T, coef, out=block[lo : lo + k.size])

@@ -251,12 +251,13 @@ def _cmd_compare(args):
     kernel = kernel_from_id(args.kernel, (args.a, args.b))
     p = FracParams(args.mu, args.nu)
     spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
+    power = funcs.resolve_spatial(f"power:{args.delta!r}", kernel, args.a)
     n_list = [int(tok) for tok in args.n_list.split(",")]
     lines = ["n,rel_error,observed_order"]
     prev = None
     for n in n_list:
         grid = TransformedGrid.build(kernel, args.a, args.b, n)
-        f = SampledFunction(grid, _z(kernel, args.a, grid.x_nodes) ** (args.delta - 1.0))
+        f = SampledFunction.from_callable(grid, power)
         if args.opkind == "integral":
             num = psi_integral(f, args.mu)
             ref = closed_forms.power_integral(spec, args.mu, grid.x_nodes)
@@ -348,7 +349,8 @@ def _figure_rows(kernel, a: float, b: float) -> list[str]:
             )
         cols.append(np.asarray(vals))
     grid = TransformedGrid.build(kernel, a, b, 1024)
-    f = SampledFunction(grid, _z(kernel, a, grid.x_nodes) ** (FIGURE_DELTA - 1.0))
+    power = funcs.resolve_spatial(f"power:{FIGURE_DELTA!r}", kernel, a)
+    f = SampledFunction.from_callable(grid, power)
     numeric = psi_frac_integral(f, FracParams(0.5, FIGURE_NU))
     taus = np.asarray(kernel.eval(xs), dtype=float)
     num_interp = np.interp(taus, grid.tau_nodes, numeric.values)

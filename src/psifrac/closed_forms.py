@@ -38,8 +38,8 @@ class PowerFunctionSpec:
     a: float
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
 
 
 def _zpow(z, exponent: float):

@@ -6,7 +6,7 @@ are defined for x >= a only:
     one            f = 1
     zero           f = 0
     sin            f = sin(z)
-    power:<delta>  f = z^(delta-1), delta > 0
+    power:<delta>  f = z^(delta-1), finite delta > 0
     ml:<mu>[:<lam>]  f = E_mu(lam * z^mu), lam defaults to 1
     linear:<lam>   f = lam * z
 
@@ -66,8 +66,8 @@ def resolve_spatial(
         mu = args[0]
         lam = args[1] if len(args) == 2 else 1.0
         return lambda x: _ml_power(mu, lam, _z(kernel, a, x))
-    if head == "power" and len(args) == 1 and not args[0] > 0:
-        raise ValueError("power:<delta> needs delta > 0")
+    if head == "power" and len(args) == 1 and not 0 < args[0] < np.inf:
+        raise ValueError("power:<delta> needs a finite delta > 0")
     f = _family(head, args)
     if f is None:
         raise ValueError(f"unknown function id {fid!r}; spatial ids: {', '.join(SPATIAL_IDS)}")

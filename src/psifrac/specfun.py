@@ -45,9 +45,12 @@ def gamma(x: float) -> float:
     Exact (in floating point) at positive integers; elsewhere delegates to
     the C library implementation, which uses a Lanczos-type approximation
     and the reflection formula for negative non-integer arguments.  Past
-    x ~ 171.62 the value overflows float64, which raises ValueError.
+    x ~ 171.62 the value overflows float64, which raises ValueError, as does
+    a non-finite x.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"gamma(x) needs a finite x, got {x}")
     if x == math.floor(x):
         if x <= 0.0:
             raise GammaPoleError(f"gamma pole at x = {x:g}")
@@ -320,4 +323,6 @@ def _ml_power(mu: float, lam: float, z):
     """E_mu(lam z^mu) for z >= 0, a float or an array: the output of
     ``kernels._z``, which rejects z < 0 (z^mu would be complex).  The
     arguments are formed by one array power and evaluated by one call."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     return mittag_leffler(MLParams(alpha=mu), lam * np.asarray(z, dtype=float) ** mu)

@@ -246,6 +246,44 @@ class TestInputRules:
         assert (code, out) == (1, "")
         assert err == "error: gamma(200) overflows float64\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("oracle", "--which", "power-int", "--delta", "inf", "--x", "0.5"),
+            ("compare", "--op", "integral", "--delta", "inf"),
+            ("op", "--kind", "integral", "--f", "power:inf", "--n", "4"),
+        ],
+        ids=["oracle", "compare", "op"],
+    )
+    def test_infinite_delta_is_one_error_line(self, capsys, argv):
+        # once an OverflowError traceback from gamma (oracle, compare) or a
+        # curve of zeros with exit 0 (op)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("malthus", "--lambda", "inf", "--steps", "2"),
+            ("op", "--kind", "integral", "--f", "ml:0.5:inf", "--n", "8"),
+            ("oracle", "--which", "ml-eigen", "--lam", "inf", "--x", "0.5"),
+        ],
+        ids=["malthus", "op", "oracle"],
+    )
+    def test_infinite_lambda_is_one_error_line(self, capsys, argv):
+        # inf * 0 at z = 0 once printed a numpy warning before the error line
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: lambda must be finite, got inf\n"
+
+    def test_compare_power_data_infinite_at_base_is_one_error_line(self, capsys):
+        # the data are sampled through power:<delta>, which does not warn
+        code, out, err = run_cli(capsys, "compare", "--op", "integral", "--delta", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "error: sampled values must all be finite\n"
+
     @pytest.mark.parametrize("z", ["inf", "-inf", "nan"])
     def test_non_finite_ml_argument_rejected(self, capsys, z):
         # once summed all 2000 terms before reporting non-convergence

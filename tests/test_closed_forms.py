@@ -53,6 +53,10 @@ class TestPowerIntegral:
         with pytest.raises(ValueError):
             PowerFunctionSpec(0.0, unit_kernel, 0.0)
 
+    def test_delta_must_be_finite(self, unit_kernel):
+        with pytest.raises(ValueError, match="finite"):
+            PowerFunctionSpec(math.inf, unit_kernel, 0.0)
+
 
 class TestPowerHilferDerivative:
     def test_midpoint_values(self, unit_kernel):

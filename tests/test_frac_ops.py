@@ -25,9 +25,8 @@ from psifrac import (
 from psifrac._quadrature import (
     CORRECTION_CELLS,
     DiscreteOp,
-    _FAR_MOMENTS,
-    _FAR_TERMS,
     _NEAR_K,
+    _NEAR_NODES,
     _correction_block,
     _pwconst_kernel,
     fracint_values,
@@ -292,7 +291,7 @@ class TestStartCorrection:
     to the cell (k = j+1) as (1/s) int_0^1 g_j(j+1 - r^(1/s)) dr, split at 1/2
     (r = (j+1-v)^s removes the weight's singularity)."""
 
-    @pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.999, 1.001, 1.5, 1.95])
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.999, 1.001, 1.5, 1.95, 2.0])
     def test_columns_match_quadrature(self, s):
         n = 65536
         block = _correction_block(s, n, 1.0)
@@ -319,19 +318,23 @@ class TestStartCorrection:
                         )
                     assert abs(block[k - 1, j] - ref) <= 1e-14 * abs(ref), (k, j)
 
-    def test_moment_table_matches_quadrature(self):
-        assert _FAR_MOMENTS.shape == (CORRECTION_CELLS, _FAR_TERMS + 1)
-        assert np.all(_FAR_MOMENTS[:, 0] == 0.0)
-        with mpmath.workdps(40):
-            for j in range(CORRECTION_CELLS):
-                chord = mpmath.sqrt(j + 1) - mpmath.sqrt(j)
-                for m in range(1, _FAR_TERMS + 1):
-                    ref = mpmath.quad(
-                        lambda u: u ** (2 * m) * (1 - 2 * u * chord),
-                        [mpmath.sqrt(j), mpmath.sqrt(j + 1)],
-                        method="gauss-legendre",
-                    )
-                    assert abs(_FAR_MOMENTS[j, m] - ref) <= 1e-15 * abs(ref), (j, m)
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.999, 1.001, 1.5, 1.95, 2.0])
+    def test_far_rows_match_direct_rule(self, s):
+        # past _NEAR_K the block is the near rows' rule expanded in 1/k: it
+        # must equal (s-1) sum_i W_ji (k - v_ji)^(s-2) summed directly, with
+        # W = w 2u q_j(u) du/dx at the Gauss-Legendre nodes u = sqrt(v)
+        n = 600
+        block = _correction_block(s, n, 1.0)
+        block *= G(s) * np.diff(np.sqrt(np.arange(CORRECTION_CELLS + 2.0)), 2)
+        x, w = np.polynomial.legendre.leggauss(_NEAR_NODES)
+        k = np.arange(_NEAR_K + 1.0, n + 1.0)[:, None]
+        for j in range(CORRECTION_CELLS):
+            chord = 1.0 / (math.sqrt(j + 1) + math.sqrt(j))
+            u = math.sqrt(j) + 0.5 * chord * (1.0 + x)
+            # q_j(u) = chord^3 (1 - x^2) / 4, du/dx = chord / 2
+            weights = w * u * chord**4 * (1.0 - x) * (1.0 + x) / 4.0
+            ref = (s - 1.0) * ((k - u * u) ** (s - 2.0) @ weights)
+            assert np.all(np.abs(block[_NEAR_K:, j] - ref) <= 2e-15 * np.abs(ref)), j
 
 
 class TestDiscreteOp:

@@ -28,6 +28,15 @@ class TestSpatialIds:
         assert float(f(3.0)) == pytest.approx(1.0, rel=1e-14)
         with pytest.raises(ValueError):
             resolve_spatial("power:0", kernel, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            resolve_spatial("power:inf", kernel, 0.0)
+
+    @pytest.mark.parametrize("lam", ["inf", "-inf", "nan"])
+    def test_ml_id_needs_finite_rate(self, kernel, lam):
+        # inf * 0 at z = 0 once warned before the argument check failed
+        f = resolve_spatial(f"ml:0.5:{lam}", kernel, 0.0)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            f(np.array([0.0, 3.0]))
 
     def test_ml_id_default_rate(self, kernel):
         f = resolve_spatial("ml:0.5", kernel, 0.0)

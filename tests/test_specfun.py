@@ -105,6 +105,12 @@ class TestGamma:
         with pytest.raises(ValueError, match="overflows"):
             gamma(x)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises_value_error(self, x):
+        # once an OverflowError (inf) or "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="finite"):
+            gamma(x)
+
     def test_negative_noninteger_reflection(self):
         # Gamma(-0.5) = -2 sqrt(pi)
         assert gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)

@@ -27,8 +27,10 @@ cell builds it: summed directly near the base point, expanded in 1/k past it.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "fracint_values",
@@ -164,7 +166,7 @@ class DiscreteOp:
 
     def _second_differences(self, values: np.ndarray) -> np.ndarray:
         # on the data side, so constants give exactly zero
-        return np.diff(values[: self._block.shape[1] + 2], 2)
+        return np.diff(values[..., : self._block.shape[1] + 2], 2)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """The operator at all n + 1 nodes; exactly 0.0 at node 0."""
@@ -186,16 +188,26 @@ class DiscreteOp:
         out[0] = 0.0
         return out
 
-    def at(self, values: np.ndarray, i: int) -> float:
-        """``self(values)[i]`` in O(i), up to the slope integral's summation order."""
-        if i == 0:
-            return 0.0
-        d = np.diff(values[: i + 1]) / self.h
-        out = d[-1] if self.s == 0.0 else np.dot(d, self._table[i:0:-1]) * self._scale
-        out += self._block[i - 1] @ self._second_differences(values)
+    @cached_property
+    def _row_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row i: node i's scaled slope weights, table[i - j] at column j and zero
+        for j >= i (order 0: slope i alone), a zero-copy view of the reversed
+        table behind n zeros; and node i's correction row, zero at node 0."""
+        table = self._table * self._scale if self.s > 0.0 else np.eye(1, self.n + 1, 1)[0]
+        padded = np.concatenate((table[::-1], np.zeros(self.n)))
+        block = np.concatenate((np.zeros((1, self._block.shape[1])), self._block))
+        return sliding_window_view(padded, self.n)[::-1][1:], block
+
+    def rows(self, values: np.ndarray, lo: int) -> np.ndarray:
+        """Node lo + r of ``self(values[r])`` for each row r of a (rows, n + 1)
+        block, in O(rows n), up to the slope integral's summation order."""
+        weights, block = self._row_parts
+        hi = lo + values.shape[0]
+        out = np.einsum("ij,ij->i", np.diff(values), weights[lo:hi]) / self.h
+        out += np.einsum("ij,ij->i", block[lo:hi], self._second_differences(values))
         if self._base is not None:
-            out += values[0] * self._base[i]
-        return float(out)
+            out += values[:, 0] * self._base[lo:hi]
+        return out
 
 
 def fracint_values(values: np.ndarray, s: float, h: float) -> np.ndarray:

@@ -54,6 +54,8 @@ _FAMILIES = {
 def _family(head: str, args: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
     """The shared family ``head`` with ``args``, or None if there is none."""
     count, make = _FAMILIES.get(head, (None, None))
+    if len(args) == count and not np.all(np.isfinite(args)):
+        raise ValueError(f"function id {head!r} needs finite arguments, got {args}")
     return make(*args) if len(args) == count else None
 
 

@@ -43,8 +43,8 @@ class MalthusSpec:
     horizon: float
 
     def __post_init__(self):
-        if not self.n0 > 0:
-            raise ValueError("initial population must be positive")
+        if not 0 < self.n0 < np.inf:
+            raise ValueError(f"initial population must be finite and positive, got {self.n0}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if not (self.kernel.contains(0.0) and self.kernel.contains(self.horizon)):

@@ -78,8 +78,8 @@ class MLParams:
     max_terms: int = 2000
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if not self.tol > 0:

@@ -4,9 +4,9 @@
 
 where J is the composed fractional integral, built once per solve.  The
 t-dependence of W is frozen at each evaluation node (two-variable Volterra
-kernel read row-wise), so a sweep costs O(n^2); when W does not depend on
-t, one O(n log n) operator application per sweep suffices and the solver
-takes that fast path.
+kernel read row-wise), so a sweep costs O(n^2): one W call per node and one
+vectorized apply per block of rows.  When W does not depend on t, one
+O(n log n) application per sweep suffices and the solver takes that path.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = [
 
 # iterate sup-norms beyond this abort the sweep with a diagnostic
 _DIVERGENCE_GUARD = 1e12
+# nodes per block of the frozen-t sweep, which holds O(_ROW_BLOCK n) values
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -72,23 +74,22 @@ class ContractionReport:
     contractive: bool
 
 
-def _integrand_values(problem, grid, t, x_vals) -> np.ndarray:
-    w_vals = np.asarray(problem.integrand(t, grid.x_nodes, x_vals), dtype=float)
-    # a constant-returning W broadcasts; any other shape but n + 1 is a ValueError
-    w_vals = np.broadcast_to(w_vals, grid.x_nodes.shape)
-    if not np.all(np.isfinite(w_vals)):
-        raise DivergenceError("integrand produced non-finite values", iteration=-1)
-    return w_vals
-
-
 def _apply_operator(problem: VolterraProblem, op, x: SampledFunction) -> np.ndarray:
-    grid = x.grid
-    if not problem.t_dependent:
-        # t is frozen per row but unused; NaN is a canary against misuse
-        return op(_integrand_values(problem, grid, float("nan"), x.values))
-    # general kernel: freeze t at each node and take that row's value, O(i) at node i
-    rows = (_integrand_values(problem, grid, float(t), x.values) for t in grid.x_nodes)
-    return np.array([op.at(w_vals, i) for i, w_vals in enumerate(rows)])
+    """J[W] at every node.  W(t_i, s, x) fills row i of a block (a constant
+    broadcasts, other lengths raise ValueError) and node lo + r reads row r; a
+    t-free W fills one row (t = NaN, a canary) for the O(n log n) apply."""
+    nodes = x.grid.x_nodes
+    ts = nodes if problem.t_dependent else [float("nan")]
+    block = np.empty((min(_ROW_BLOCK, len(ts)), nodes.size))
+    out = []
+    for lo in range(0, len(ts), _ROW_BLOCK):
+        rows = block[: len(ts) - lo]
+        for row, t in zip(rows, ts[lo:]):
+            row[:] = problem.integrand(float(t), nodes, x.values)
+        if not np.all(np.isfinite(rows)):
+            raise DivergenceError("integrand produced non-finite values", iteration=-1)
+        out.append(op.rows(rows, lo) if problem.t_dependent else op(rows[0]))
+    return np.concatenate(out)
 
 
 def picard_solve(

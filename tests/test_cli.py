@@ -278,6 +278,26 @@ class TestInputRules:
         assert (code, out) == (1, "")
         assert err == "error: lambda must be finite, got inf\n"
 
+    def test_infinite_initial_population_is_one_error_line(self, capsys):
+        # once printed rows of inf and exited 0
+        code, out, err = run_cli(capsys, "malthus", "--n0", "inf", "--steps", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: initial population must be finite and positive, got inf\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("op", "--kind", "integral", "--f", "linear:inf", "--n", "4"),
+            ("volterra", "--w", "linear:inf", "--n", "8"),
+        ],
+        ids=["op", "volterra"],
+    )
+    def test_infinite_linear_rate_is_one_error_line(self, capsys, argv):
+        # inf * 0 at z = 0 once printed a numpy warning before the error line
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: function id 'linear' needs finite arguments, got (inf,)\n"
+
     def test_compare_power_data_infinite_at_base_is_one_error_line(self, capsys):
         # the data are sampled through power:<delta>, which does not warn
         code, out, err = run_cli(capsys, "compare", "--op", "integral", "--delta", "0.5")

@@ -337,6 +337,13 @@ class TestStartCorrection:
             assert np.all(np.abs(block[_NEAR_K:, j] - ref) <= 2e-15 * np.abs(ref)), j
 
 
+def _rounding_scale(values, s, n):
+    # rounding scales with the summed magnitudes W|d|: the uncorrected rule on
+    # data whose slopes are |d|
+    abs_slope_data = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
+    return np.max(DiscreteOp(s, n, 1.0 / n, corrected=False)(abs_slope_data))
+
+
 class TestDiscreteOp:
     @settings(deadline=None, derandomize=True, max_examples=30)
     @given(
@@ -355,13 +362,35 @@ class TestDiscreteOp:
         h = 1.0 / n
         op = DiscreteOp(s, n, h, base_exponent=base, corrected=corrected)
         full = op(values)
-        single = np.array([op.at(values, i) for i in range(n + 1)])
+        # every row holds the same data, so row r gives node lo + r of the
+        # full apply; one block up to n = 1025, n = 3000 goes block by block
+        block = 1026
+        single = np.concatenate(
+            [op.rows(np.tile(values, (min(block, n + 1 - lo), 1)), lo) for lo in range(0, n + 1, block)]
+        )
         assert full[0] == 0.0 and single[0] == 0.0
-        # rounding scales with the summed magnitudes W|d|: the uncorrected
-        # rule on data whose slopes are |d|
-        abs_slope_data = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
-        scale = np.max(DiscreteOp(s, n, h, corrected=False)(abs_slope_data))
-        assert np.max(np.abs(single - full)) <= 1e-14 * scale
+        assert np.max(np.abs(single - full)) <= 1e-14 * _rounding_scale(values, s, n)
+
+    @settings(deadline=None, derandomize=True, max_examples=30)
+    @given(
+        s=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+        corrected=st.booleans(),
+        base=st.one_of(st.none(), st.floats(-0.95, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rows_read_their_own_data(self, s, corrected, base, seed, data):
+        # a block from lo > 0 that ends before node n: node lo + r reads row r
+        n = data.draw(st.integers(4, 1100))
+        lo = data.draw(st.integers(1, n - 1))
+        count = data.draw(st.integers(1, n - lo))
+        values = np.random.default_rng(seed).standard_normal((count, n + 1))
+        op = DiscreteOp(s, n, 1.0 / n, base_exponent=base, corrected=corrected)
+        out = op.rows(values, lo)
+        assert out.shape == (count,)
+        for r, row in enumerate(values):
+            ref = op(row)[lo + r]
+            assert abs(out[r] - ref) <= 1e-14 * _rounding_scale(row, s, n)
 
     # n = 3000 takes the FFT far field; the correction reads the data's own
     # second differences, so a constant gives exactly zero at every node

@@ -1,5 +1,6 @@
-"""A validity check written ``x <= 0`` lets NaN through; every input check
-is written so that NaN fails it."""
+"""A validity check written ``x <= 0`` lets NaN through, and one written
+``not x > 0`` lets +inf through; every input check is written so that NaN
+fails it, and those for quantities that must be finite reject inf too."""
 
 import math
 
@@ -17,9 +18,10 @@ from psifrac import (
     mittag_leffler_terms,
     picard_solve,
 )
-from psifrac.funcs import resolve_spatial
+from psifrac.funcs import resolve_spatial, resolve_state
 
 NAN = math.nan
+INF = math.inf
 
 
 def _unit():
@@ -56,4 +58,19 @@ CASES = {
 @pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
 def test_nan_input_rejected(make):
     with pytest.raises(ValueError):
+        make()
+
+
+INF_CASES = {
+    "ml-alpha": lambda: MLParams(alpha=INF),
+    "malthus-n0": lambda: MalthusSpec(INF, 0.3, FracParams(0.5, 1.0), _unit(), 1.0),
+    "linear-spatial-id": lambda: resolve_spatial("linear:inf", _unit(), 0.0),
+    "linear-state-id": lambda: resolve_state("linear:-inf"),
+}
+
+
+@pytest.mark.parametrize("make", INF_CASES.values(), ids=INF_CASES.keys())
+def test_infinite_input_rejected(make):
+    # ml --alpha inf once summed 2000 terms before reporting non-convergence
+    with pytest.raises(ValueError, match="finite"):
         make()

@@ -16,6 +16,7 @@ from psifrac import (
     psi_frac_integral,
 )
 from psifrac import _quadrature
+from psifrac.frac_ops import _composed_op
 
 G = math.gamma
 
@@ -214,6 +215,56 @@ class TestTDependentKernel:
         s, phi = grid.x_nodes, np.sin(grid.x_nodes)
         ref = phi + np.array([k[i] @ w(t, s, phi) for i, t in enumerate(s)])
         assert np.max(np.abs(trace.solution.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestTDependentContract:
+    # 301 nodes: one full block of frozen-t rows and a short one
+    def test_blocks_match_per_row_full_apply(self):
+        def w(t, s, x):
+            return np.cos(t - s) * x * -0.5
+
+        problem = make_problem(w, n=300, t_dependent=True)
+        trace = picard_solve(problem, tol=1e-12)
+        assert trace.converged
+        grid = trace.solution.grid
+        op = _composed_op(problem.p, grid)
+        phi = x = np.sin(grid.x_nodes)
+        for _ in range(trace.iterations):
+            x = phi + np.array([op(w(t, grid.x_nodes, x))[i] for i, t in enumerate(grid.x_nodes)])
+        assert np.max(np.abs(trace.solution.values - x)) <= 1e-14 * np.max(np.abs(x))
+
+    def test_scalar_return_broadcasts(self):
+        scalar = make_problem(lambda t, s, x: 0.4, n=64, t_dependent=True)
+        array = make_problem(lambda t, s, x: np.full_like(x, 0.4), n=64, t_dependent=True)
+        a = picard_solve(scalar, tol=1e-12).solution.values
+        b = picard_solve(array, tol=1e-12).solution.values
+        assert np.array_equal(a, b)
+
+    def test_wrong_length_raises(self):
+        problem = make_problem(lambda t, s, x: np.ones(5), n=64, t_dependent=True)
+        with pytest.raises(ValueError):
+            picard_solve(problem, tol=1e-12)
+
+    def test_nan_in_one_row_diverges(self):
+        # node 270 lies in the second block of rows
+        nodes = make_problem(None, n=300).grid().x_nodes
+
+        def w(t, s, x):
+            return np.full_like(x, np.nan) if t == nodes[270] else -0.5 * x
+
+        problem = make_problem(w, n=300, t_dependent=True)
+        with pytest.raises(DivergenceError, match=r"non-finite values \(iterate 1\)"):
+            picard_solve(problem, tol=1e-12)
+
+    def test_t_is_a_python_float(self):
+        seen = set()
+
+        def w(t, s, x):
+            seen.add(type(t))
+            return math.cos(t) * x * -0.5
+
+        trace = picard_solve(make_problem(w, n=64, t_dependent=True), tol=1e-12)
+        assert trace.converged and seen == {float}
 
 
 class TestOperatorReuse:

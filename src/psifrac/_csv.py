@@ -1,0 +1,109 @@
+"""CSV text of float64 columns, formatted in numpy exactly as ``'%.17g'``."""
+
+from __future__ import annotations
+
+from functools import cache
+
+import numpy as np
+
+__all__ = ["csv_text"]
+
+
+@cache
+def _pow10(p: int) -> tuple[float, float]:
+    """10^p as hi + lo, rounded from Python integers, where int -> float and
+    int / int round correctly."""
+    t = 10 ** abs(p)
+    a, b = (hi := float(t) if p >= 0 else 1 / t).as_integer_ratio()
+    return hi, (t * b - a) / b if p >= 0 else (b - a * t) / (b * t)
+
+
+@cache
+def _tables():
+    """A cell's 28 source bytes: 0-15 digits 1-16 (four 4-digit words); 16-19
+    digit 0, sign ('-' or 0), '.', 'e' (a lead word); 20-23 exponent sign and
+    3 digits, 0 for the first of two (an exponent word); 24-27 '0', ',', 0,
+    0.  The pattern row of the cell's form, exponent and digit count gathers
+    a 25-byte field from them.  ``sig[g]`` counts the digits of group g up to
+    its last nonzero one."""
+    pair = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+    quad = np.stack(np.broadcast_arrays(pair[:, None], pair), -1).view(np.uint8).reshape(-1, 4)
+    sig = np.array([2 if i % 10 else 1 if i else -99 for i in range(100)])
+    sig = np.where(np.arange(100) > 0, 2 + sig, sig[:, None]).ravel()
+    lead = np.frombuffer("".join(f"{i}{s}.e" for s in "\0-" for i in range(10)).encode(), np.uint32)
+    e = np.arange(-300, 301)
+    exp = quad[abs(e)]  # "0ddd" becomes sign and 3 digits, the first 0 below 100
+    exp[:, 0], exp[abs(e) < 100, 1] = np.where(e < 0, 45, 43), 0
+    # code < 21 is the fixed form of exponent code - 4, code 21 the e-form:
+    # the zeros of "0.00" below 1, then the digits with '.' after `point`
+    code, nd, j = np.ogrid[:22, 1:18, :25]
+    zeros = np.maximum(4 - code, 0)
+    point = np.where((code < 4) | (code == 21), 1, code - 3)
+    shown = np.maximum(nd + zeros, point)
+    dot = shown > point
+    t = j - 1 - (dot & (j > point + 1))  # index into zeros and digits; digit
+    # d is byte (d + 16) % 17, and 'e' and the exponent are bytes 19-23
+    pats = np.where(j == 0, 17, np.where(dot & (j == point + 1), 18, np.where(t < zeros, 24, np.where(
+        t < shown, (t - zeros + 16) % 17, np.where((code == 21) & (t < shown + 5), 19 + t - shown, 27)))))
+    pats[..., -1] = 25
+    words = (w.view(np.uint32).ravel() for w in (quad, exp, np.frombuffer(b"0,\0\0", np.uint8)))
+    return *words, sig, lead, pats.reshape(-1, 25).astype(np.int32)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """floor(a 10^(16-k)) and its fraction: Dekker's exact product of a and
+    hi, on Veltkamp's 26-bit halves, plus a lo."""
+    p = 16 - k
+    hi, lo = np.array([_pow10(q) for q in range(p.min(), p.max() + 1)]).T[:, p - p.min()]
+    ca, ch = a * 134217729.0, hi * 134217729.0
+    a1, h1 = ca - (ca - a), ch - (ch - hi)
+    a2, h2 = a - a1, hi - h1
+    prod = a * hi
+    whole = np.floor(prod)
+    f = (a1 * h1 - prod) + a1 * h2 + a2 * h1 + a2 * h2 + a * lo + (prod - whole)
+    carry = np.floor(f)
+    return whole.astype(np.int64) + carry.astype(np.int64), f - carry
+
+
+def csv_text(header: str, *columns) -> str:
+    """``header``, then one line per row of the equal-length ``columns``,
+    each float64 cell as ``'%.17g' % v``, comma-separated, LF-ended.
+
+    For 1e-270 <= |v| < 1e270, k = floor(log10|v|) and N = |v| 10^(16-k) is
+    an error-free double-double product, off by about 1e-14.  k moves by one
+    where N is not in [10^16, 10^17), and N rounds half-even.  A zero has
+    all-zero digits.  A cell whose N lies within 1e-6 of a tie, an infinity,
+    NaN, subnormal or any cell outside that range is formatted by
+    ``'%.17g' % v`` on its own.  Chunks of 8192 cells stay in cache.
+    """
+    quad, exp, tail, sig, lead, pats = _tables()
+    table, parts = np.asarray(np.broadcast_arrays(*columns), np.float64).T, [header + "\n"]
+    step = max(1, 8192 // table.shape[1])
+    for lo in range(0, table.shape[0], step):
+        v = table[lo : lo + step].ravel()
+        fast = (abs(v) >= 1e-270) & (abs(v) < 1e270)
+        a = np.where(fast, abs(v), 1.0)
+        k = np.floor(np.log10(a)).astype(np.int64)
+        n, f = _scaled(a, k)
+        # k is one off where N is below 10^16 before rounding or 10^17 after
+        shift = (n + (f > 0.5) >= 10**17).astype(np.int64) - (n < 10**16)
+        if shift.any():
+            fix = np.flatnonzero(shift)
+            k[fix] += shift[fix]
+            n[fix], f[fix] = _scaled(a[fix], k[fix])
+        n += f > 0.5
+        slow = (~fast & (v != 0)) | (abs(f - 0.5) < 1e-6) | (n < 10**16) | (n >= 10**17)
+        n[slow | ~fast], k[slow | ~fast] = 0, 0  # all-zero digits: a zero
+        src, digits = np.empty((v.size, 7), np.uint32), np.ones_like(n)
+        for j, group in enumerate(np.divmod(n % 10**16 // 10**8, 10**4) + np.divmod(n % 10**8, 10**4)):
+            src[:, j] = quad[group]
+            np.maximum(digits, sig[group] + 4 * j + 1, out=digits)
+        src[:, 4], src[:, 5], src[:, 6] = lead[n // 10**16 + 10 * np.signbit(v)], exp[k + 300], tail
+        idx = pats.take(np.where((k >= -4) & (k < 17), k + 4, 21) * 17 + digits - 1, axis=0)
+        idx += np.arange(0, 28 * v.size, 28, dtype=np.int32)[:, None]
+        out = src.view(np.uint8).ravel().take(idx)
+        out[table.shape[1] - 1 :: table.shape[1], -1] = 10  # '\n' ends a row
+        text = b"".join(("%.17g" % x).encode().ljust(24, b"\0") for x in v[slow].tolist())
+        out[slow, :-1] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+        parts.append(out[out != 0].tobytes().decode("ascii"))
+    return "".join(parts)

@@ -152,7 +152,10 @@ class DiscreteOp:
         self._block = np.zeros((n, 0))
         if self.s > 0.0:
             self._table = _pwconst_kernel(self.s, n)
-            self._scale = h**self.s / math.gamma(self.s + 1.0)
+            try:
+                self._scale = float(h) ** self.s / math.gamma(self.s + 1.0)
+            except OverflowError:
+                raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
             if n > _DIRECT_N:
                 # L >= 2n: no circular wrap-around reaches the kept outputs
                 self._table_fft = np.fft.rfft(self._table, 1 << (2 * n - 1).bit_length())

@@ -12,6 +12,7 @@ line's flags, so explicit flags win over file entries.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, funcs, models, spaces, volterra
+from ._csv import csv_text
 from .errors import PsifracError
 from .frac_ops import (
     FracParams,
@@ -41,19 +43,10 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _csv_rows(xs: np.ndarray, vs: np.ndarray) -> list[str]:
-    """Two-column CSV rows, each cell formatted as ``_fmt`` does.
-
-    A memoryview yields the float64 entries as Python floats one at a time:
-    faster than per-row ``float()`` calls, and unlike ``tolist()`` it holds
-    no second copy of the columns while the rows are built.
-    """
-    return list(map("{:.17g},{:.17g}".format, memoryview(xs), memoryview(vs)))
-
-
 def _write_lines(lines, out_path, stream=None):
-    """Write ``lines`` to ``out_path`` if given, else to ``stream`` (stdout)."""
-    text = "\n".join(lines) + "\n"
+    """Write ``lines``, a list or one text, to ``out_path`` if given, else to
+    ``stream`` (stdout)."""
+    text = lines if isinstance(lines, str) else "\n".join(lines) + "\n"
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
@@ -224,7 +217,7 @@ def _cmd_op(args):
         out = psi_hilfer_derivative(f, FracParams(args.mu, args.nu), args.side)
     else:
         out = psi_frac_integral(f, FracParams(args.mu, args.nu), args.side)
-    _write_lines(["x,value"] + _csv_rows(f.grid.x_nodes, out.values), args.out)
+    _write_lines(csv_text("x,value", f.grid.x_nodes, out.values), args.out)
     return 0
 
 
@@ -309,7 +302,7 @@ def _cmd_volterra(args):
     log_lines.append(f"# converged={trace.converged} residual={_fmt(trace.residual)}")
     _write_lines(log_lines, args.log, sys.stderr)
     x = trace.solution
-    _write_lines(["x,value"] + _csv_rows(x.grid.x_nodes, x.values), args.out)
+    _write_lines(csv_text("x,value", x.grid.x_nodes, x.values), args.out)
     return 0 if trace.converged else 1
 
 
@@ -323,7 +316,7 @@ def _cmd_malthus(args):
         horizon=args.t_max,
     )
     ts, ns = models.malthus_curve(spec, args.steps)
-    _write_lines(["t,N"] + _csv_rows(ts, ns), args.out)
+    _write_lines(csv_text("t,N", ts, ns), args.out)
     return 0
 
 
@@ -333,9 +326,10 @@ FIGURE_NU = 0.5
 FIGURE_SAMPLES = 200
 
 
-def _figure_rows(kernel, a: float, b: float) -> list[str]:
-    """Curve data for the composed-integral closed form, five orders, plus a
-    numeric cross-check column for mu = 0.5 at n = 1024."""
+def _figure_columns(kernel, a: float, b: float) -> tuple:
+    """Header, then the columns of the curve data for the composed-integral
+    closed form, five orders, plus a numeric cross-check column for mu = 0.5
+    at n = 1024."""
     xs = np.linspace(a, b, FIGURE_SAMPLES)
     spec = closed_forms.PowerFunctionSpec(FIGURE_DELTA, kernel, a)
     cols = []
@@ -347,7 +341,7 @@ def _figure_rows(kernel, a: float, b: float) -> list[str]:
             vals = closed_forms.power_psi_frac_integral(
                 spec, FracParams(mu, FIGURE_NU), xs
             )
-        cols.append(np.asarray(vals))
+        cols.append(vals)
     grid = TransformedGrid.build(kernel, a, b, 1024)
     power = funcs.resolve_spatial(f"power:{FIGURE_DELTA!r}", kernel, a)
     f = SampledFunction.from_callable(grid, power)
@@ -355,11 +349,7 @@ def _figure_rows(kernel, a: float, b: float) -> list[str]:
     taus = np.asarray(kernel.eval(xs), dtype=float)
     num_interp = np.interp(taus, grid.tau_nodes, numeric.values)
     header = "x," + ",".join(f"mu_{mu:g}" for mu in FIGURE_MUS) + ",numeric_mu_0.5"
-    lines = [header]
-    for i, x in enumerate(xs):
-        row = [_fmt(x)] + [_fmt(c[i]) for c in cols] + [_fmt(num_interp[i])]
-        lines.append(",".join(row))
-    return lines
+    return header, xs, *cols, num_interp
 
 
 def _cmd_figures(args):
@@ -372,7 +362,7 @@ def _cmd_figures(args):
         ("fig3.csv", "log", 1.0, math.e),
     )
     for fname, kid, a, b in cases:
-        _write_lines(_figure_rows(kernel_from_id(kid, (a, b)), a, b), out_dir / fname)
+        _write_lines(csv_text(*_figure_columns(kernel_from_id(kid, (a, b)), a, b)), out_dir / fname)
     print(f"wrote fig1.csv fig2.csv fig3.csv to {out_dir}")
     return 0
 
@@ -403,12 +393,19 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # read --config first, so that the file may also supply required options
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The full parser and the ``--config`` pre-parser, built once and shared
+    by every call: parsing does not change a parser."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", nargs="?")  # a bare --config fails the full parse
+    return build_parser(), pre
+
+
+def main(argv=None) -> int:
+    parser, pre = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # read --config first, so that the file may also supply required options
     config = pre.parse_known_args(argv[1:])[0].config
     try:
         if config and argv[0] in parser._psifrac_subs:

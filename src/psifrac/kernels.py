@@ -47,6 +47,9 @@ class PsiKernel:
             )
         if not np.all(np.isfinite((self.x_lo, self.x_hi))):
             raise KernelError(f"kernel {self.name!r}: infinite domain [{self.x_lo}, {self.x_hi}]")
+        with np.errstate(all="ignore"):  # a NaN psi is left to ``validate`` to report
+            if np.isinf(self.eval(np.array([self.x_lo, self.x_hi]))).any():
+                raise KernelError(f"kernel {self.name!r}: psi overflows at an end of its domain")
 
     def contains(self, x: float) -> bool:
         return self.x_lo <= x <= self.x_hi

@@ -53,17 +53,20 @@ def weighted_norm(
     return float(np.max(np.abs(w * f.values[skip:])))
 
 
-def _span(kernel: PsiKernel, a: float, b: float) -> float:
-    """psi(b) - psi(a), the length every bound constant is built on."""
+def _span(kernel: PsiKernel, a: float, b: float, e: float) -> float:
+    """(psi(b) - psi(a))^e, the power every bound constant is built on."""
     dz = float(kernel.eval(b)) - float(kernel.eval(a))
     if not dz > 0:
         raise ValueError("need b > a inside the kernel domain")
-    return dz
+    try:
+        return dz**e
+    except OverflowError:
+        raise ValueError(f"(psi(b) - psi(a))^{e:g} overflows at psi(b) - psi(a) = {dz:g}") from None
 
 
 def bound_constant_s(p: FracParams, kernel: PsiKernel, a: float, b: float) -> float:
     """s = (psi(b)-psi(a))^(1+mu) / (Gamma(1+xi) Gamma(2+mu-xi))."""
-    return _span(kernel, a, b) ** (1.0 + p.mu) / (gamma(1.0 + p.xi) * gamma(2.0 + p.mu - p.xi))
+    return _span(kernel, a, b, 1.0 + p.mu) / (gamma(1.0 + p.xi) * gamma(2.0 + p.mu - p.xi))
 
 
 def bound_constant_A(p: FracParams, kernel: PsiKernel, a: float, b: float) -> float:
@@ -75,10 +78,10 @@ def bound_constant_A(p: FracParams, kernel: PsiKernel, a: float, b: float) -> fl
     """
     bb = p.nu * (1.0 - p.mu)
     return (gamma(1.0 - bb) * gamma(1.0 + 2.0 * bb + p.mu)) / (
-        gamma(1.0 + bb) * _span(kernel, a, b) ** (2.0 - p.mu)
+        gamma(1.0 + bb) * _span(kernel, a, b, 2.0 - p.mu)
     )
 
 
 def bound_constant_K(p: FracParams, kernel: PsiKernel, a: float, b: float) -> float:
     """K = (psi(b)-psi(a))^(1-mu) / (Gamma(2-xi) Gamma(xi-mu+1))."""
-    return _span(kernel, a, b) ** (1.0 - p.mu) / (gamma(2.0 - p.xi) * gamma(p.xi - p.mu + 1.0))
+    return _span(kernel, a, b, 1.0 - p.mu) / (gamma(2.0 - p.xi) * gamma(p.xi - p.mu + 1.0))

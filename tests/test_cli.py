@@ -18,7 +18,8 @@ from psifrac import (
     psi_hilfer_derivative,
     psi_integral_order1,
 )
-from psifrac.cli import _csv_rows, _fmt, main
+from psifrac._csv import csv_text
+from psifrac.cli import _fmt, build_parser, main
 from psifrac.funcs import resolve_spatial
 
 
@@ -111,7 +112,8 @@ class TestBasicCommands:
             ref = psi_integral_order1(f)
         else:
             ref = psi_hilfer_derivative(f, FracParams(0.3, 0.6))
-        assert out.splitlines() == ["x,value"] + _csv_rows(grid.x_nodes, ref.values)
+        rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid.x_nodes, ref.values)]
+        assert out.splitlines() == ["x,value"] + rows
 
     def test_op_out_file(self, tmp_path, capsys):
         path = tmp_path / "op.csv"
@@ -232,6 +234,26 @@ class TestInputRules:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "infinite domain" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--kernel", "exp", "--b", "800"),
+            ("bounds", "--kernel", "power:400", "--a", "1", "--b", "10"),
+            ("kernel", "--kernel", "exp", "--b", "800"),
+            ("op", "--kind", "integral", "--n", "4", "--kernel", "exp", "--b", "800"),
+            ("op", "--kind", "integral", "--n", "4", "--kernel", "exp", "--b", "709"),
+            ("bounds", "--kernel", "exp", "--b", "709"),
+        ],
+        ids=["bounds-exp", "bounds-power", "kernel", "op-psi", "op-scale", "bounds-span"],
+    )
+    def test_psi_overflow_is_one_error_line(self, capsys, argv):
+        # psi(800) = inf printed s = inf, K = inf, A = 0 and exit 0 or numpy
+        # warnings; h^s or the span's power overflowing printed warnings or
+        # a traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("alpha,z", [("0.5", "0"), ("0", "0.5")])
     def test_ml_closed_form_past_gamma_overflow_underflows(self, capsys, alpha, z):
         # 1/Gamma(200) underflows; Gamma(200) once ended in an OverflowError
@@ -334,13 +356,38 @@ class TestDeterminism:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+class TestParserReuse:
+    def test_main_is_reentrant(self, tmp_path, capsys):
+        # main builds its parsers once per process; a usage error and a
+        # config error must leave them fit for the next call
+        with pytest.raises(SystemExit) as usage:
+            main(["op", "--kind", "nonsense"])
+        assert usage.value.code == 2
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("wavelength = 3\n", encoding="utf-8")
+        assert main(["op", "--kind", "integral", "--config", str(cfg)]) == 1
+        capsys.readouterr()
+        argv = ["op", "--kind", "hilfer", "--n", "64", "--f", "sin"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "psifrac.cli", *argv], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out == fresh.stdout
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
 class TestCsvRows:
     def test_matches_per_row_fmt(self):
         xs = np.array([0.0, -0.0, 5e-324, 1e308, -math.inf, 1.0 / 3.0, math.nan])
         vs = np.array([math.nan, math.inf, -1e308, -5e-324, 0.1, -0.0, 123456.789])
         # the per-row form each CSV command used before the helper
         ref = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vs)]
-        assert _csv_rows(xs, vs) == ref
+        assert csv_text("x,v", xs, vs).splitlines()[1:] == ref
 
 
 class TestImportCost:

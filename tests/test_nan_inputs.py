@@ -18,6 +18,7 @@ from psifrac import (
     mittag_leffler_terms,
     picard_solve,
 )
+from psifrac._quadrature import DiscreteOp
 from psifrac.funcs import resolve_spatial, resolve_state
 
 NAN = math.nan
@@ -73,4 +74,22 @@ INF_CASES = {
 def test_infinite_input_rejected(make):
     # ml --alpha inf once summed 2000 terms before reporting non-convergence
     with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+OVERFLOW_CASES = {
+    "kernel-exp-end": lambda: make_builtin("exp", (), (0.0, 800.0)),
+    "kernel-power-end": lambda: make_builtin("power", (400.0,), (1.0, 10.0)),
+    "operator-scale": lambda: DiscreteOp(1.5, 4, 2.0e307),
+    "bound-span-power": lambda: bound_constant_s(
+        FracParams(0.5, 0.5), make_builtin("exp", (), (0.0, 709.0)), 0.0, 709.0
+    ),
+}
+
+
+@pytest.mark.parametrize("make", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES.keys())
+def test_overflow_rejected(make):
+    # psi, h^s or the span's power past float64 once gave inf or NaN with a
+    # numpy warning, or an OverflowError; the warnings filter is "error"
+    with pytest.raises(ValueError, match="overflows"):
         make()

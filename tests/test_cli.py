@@ -336,7 +336,7 @@ class TestInputRules:
 
 
 class TestDeterminism:
-    # n=2048 runs the FFT far field of the slope integral
+    # n=2048 runs the slope integral's FFT levels
     @pytest.mark.parametrize("n", ["128", "2048"])
     def test_op_byte_identical(self, capsys, n):
         argv = (

@@ -25,6 +25,8 @@ from psifrac import (
 from psifrac._quadrature import (
     CORRECTION_CELLS,
     DiscreteOp,
+    _DIRECT_N,
+    _LEVEL_RATIO,
     _NEAR_K,
     _NEAR_NODES,
     _correction_block,
@@ -102,7 +104,7 @@ class TestPsiIntegral:
         assert np.max(np.abs(out.values - ref)) <= 1e-12
         assert out.values[-1] == 0.0
 
-    # n=4096 runs the FFT far field; the n=128 cases keep their old ids
+    # n=4096 runs the FFT levels; the n=128 cases keep their old ids
     @pytest.mark.parametrize(
         "s, n",
         [(s, n) for n in (128, 4096) for s in POSITIVITY_ORDERS],
@@ -244,12 +246,18 @@ class TestPsiIntegral:
         )
 
 
+# sizes at the level edges: the direct part alone, the first FFT level's first
+# and last sizes, the second level's first, a short second level (1024) and a
+# short third level (5001)
+LEVEL_EDGES = [_DIRECT_N, _DIRECT_N + 1, _LEVEL_RATIO * _DIRECT_N, _LEVEL_RATIO * _DIRECT_N + 1, 1024, 5001]
+
+
 class TestSlopeIntegral:
-    """The slope integral (direct near field, FFT far field above n=1024)
-    against the direct causal sum ``np.convolve`` as the reference."""
+    """The slope integral (direct part up to node _DIRECT_N, FFT levels past
+    it) against the direct causal sum as the reference."""
 
     @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
-    @pytest.mark.parametrize("n", [1025, 3000, 5001, 8192])
+    @pytest.mark.parametrize("n", sorted({*LEVEL_EDGES, 1025, 3000, 8192}))
     def test_fft_matches_direct_sum(self, n, s):
         x = np.linspace(0.0, 1.0, n + 1)
         h = 1.0 / n
@@ -260,9 +268,12 @@ class TestSlopeIntegral:
             "x^2.5": x**2.5,
             "normal": np.random.default_rng(n).standard_normal(n + 1),
         }
+        # one operator for all three: the later applies reuse the table
+        # transforms that the first one made
+        op = DiscreteOp(s, n, h, corrected=False)
         for name, values in data.items():
             d = np.diff(values) / h
-            fast = DiscreteOp(s, n, h, corrected=False)(values)
+            fast = op(values)
             ref = np.convolve(d, w)[: n + 1] * scale
             # FFT rounding scales with the summed magnitudes W|d|, not with
             # the sum, which mixed-sign data can make small
@@ -271,9 +282,9 @@ class TestSlopeIntegral:
             if name != "normal":
                 k = SKIP_BASE_NODES
                 rel = np.abs(fast[k:] - ref[k:]) / np.abs(ref[k:])
-                assert np.max(rel) <= 1e-9, name
+                assert np.max(rel) <= 1e-13, name
 
-    @pytest.mark.parametrize("n", [1, 2, 100, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 100, _DIRECT_N])
     def test_direct_sum_up_to_crossover(self, n):
         values = np.random.default_rng(n).standard_normal(n + 1)
         h = 1.0 / n
@@ -281,6 +292,23 @@ class TestSlopeIntegral:
             ref = np.convolve(np.diff(values) / h, _pwconst_kernel(s, n))[: n + 1]
             ref *= h**s / G(s + 1.0)
             assert np.array_equal(DiscreteOp(s, n, h, corrected=False)(values), ref)
+
+    @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
+    @pytest.mark.parametrize("n", [1024, 4096, 16384, 65536])
+    def test_pointwise_against_extended_sum(self, n, s):
+        # the same float64 slopes and table summed directly in long double, at
+        # log-spaced nodes: the error of the summation alone, relative to each
+        # output, which smooth data keep far from zero
+        x = np.linspace(0.0, 1.0, n + 1)
+        h = 1.0 / n
+        nodes = np.unique(np.geomspace(3, n, 120).round().astype(int))
+        table = _pwconst_kernel(s, n).astype(np.longdouble)
+        for name, values in {"x^2.5": x**2.5, "sin": np.sin(x)}.items():
+            out = DiscreteOp(s, n, h, corrected=False)(values)
+            d = (np.diff(values) / h).astype(np.longdouble)
+            ref = np.array([np.dot(d[:k], table[k:0:-1]) for k in nodes]) * (h**s / G(s + 1.0))
+            rel = np.abs((out[nodes] - ref) / ref)
+            assert np.max(rel) <= 1e-13, (name, nodes[np.argmax(rel)], np.max(rel))
 
 
 class TestStartCorrection:
@@ -353,8 +381,8 @@ class TestDiscreteOp:
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    # n above 1024 takes the FFT far field in the full apply
-    @pytest.mark.parametrize("n_range", [(4, 96), (1025, 1025), (3000, 3000)])
+    # n above _DIRECT_N takes the FFT levels in the full apply
+    @pytest.mark.parametrize("n_range", [(4, 96), (1025, 1025), (3000, 3000), *((n, n) for n in LEVEL_EDGES)])
     def test_single_node_matches_full_apply(self, n_range, s, corrected, base, seed, data):
         n = data.draw(st.integers(*n_range))
         rng = np.random.default_rng(seed)
@@ -363,7 +391,7 @@ class TestDiscreteOp:
         op = DiscreteOp(s, n, h, base_exponent=base, corrected=corrected)
         full = op(values)
         # every row holds the same data, so row r gives node lo + r of the
-        # full apply; one block up to n = 1025, n = 3000 goes block by block
+        # full apply; one block up to n = 1025, larger n go block by block
         block = 1026
         single = np.concatenate(
             [op.rows(np.tile(values, (min(block, n + 1 - lo), 1)), lo) for lo in range(0, n + 1, block)]
@@ -392,7 +420,7 @@ class TestDiscreteOp:
             ref = op(row)[lo + r]
             assert abs(out[r] - ref) <= 1e-14 * _rounding_scale(row, s, n)
 
-    # n = 3000 takes the FFT far field; the correction reads the data's own
+    # n = 3000 takes the FFT levels; the correction reads the data's own
     # second differences, so a constant gives exactly zero at every node
     @pytest.mark.parametrize("n", [64, 3000])
     @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])

@@ -73,7 +73,13 @@ def resolve_spatial(
     f = _family(head, args)
     if f is None:
         raise ValueError(f"unknown function id {fid!r}; spatial ids: {', '.join(SPATIAL_IDS)}")
-    return lambda x: f(_z(kernel, a, x))
+
+    def spatial(x):
+        z = _z(kernel, a, x)
+        with np.errstate(over="ignore"):  # the caller's finiteness check reports inf
+            return f(z)
+
+    return spatial
 
 
 def resolve_state(fid: str) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:

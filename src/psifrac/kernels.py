@@ -55,15 +55,43 @@ class PsiKernel:
         return self.x_lo <= x <= self.x_hi
 
 
-# family -> its parameters, in id order
-_FAMILY_PARAMS = {
-    "identity": (),
-    "sqrt_shift": ("the shift c",),
-    "log": (),
-    "exp": (),
-    "power": ("the exponent p",),
+def _power_check(x_lo: float, p: float) -> str | None:
+    if not p > 0:
+        return "power kernel exponent must be positive"
+    if p != 1.0 and x_lo <= 0.0:
+        return f"power:{p:g} needs x_lo > 0"
+    return None
+
+
+# family -> (its parameters in id order; psi, psi' and psi^-1 as maps of a
+# float array and the parameters; a check of x_lo and the parameters that
+# returns an error text, or None if the domain is fine)
+_FAMILIES = {
+    "identity": ((), lambda x: x + 0.0, np.ones_like, lambda u: u + 0.0, lambda x_lo: None),
+    "sqrt_shift": (
+        ("the shift c",),
+        lambda x, c: np.sqrt(x + c),
+        lambda x, c: 0.5 / np.sqrt(x + c),
+        lambda u, c: u**2 - c,
+        lambda x_lo, c: None if x_lo > -c else (
+            f"sqrt_shift:{c:g} needs x_lo > {-c:g} for a finite positive derivative"
+        ),
+    ),
+    # psi(0) = -inf, so the transformed left endpoint must stay finite
+    "log": (
+        (), np.log, lambda x: 1.0 / x, np.exp,
+        lambda x_lo: "log kernel needs x_lo > 0" if x_lo <= 0.0 else None,
+    ),
+    "exp": ((), np.exp, np.exp, np.log, lambda x_lo: None),
+    "power": (
+        ("the exponent p",),
+        lambda x, p: x**p,
+        lambda x, p: p * x ** (p - 1.0),
+        lambda u, p: u ** (1.0 / p),
+        _power_check,
+    ),
 }
-BUILTIN_FAMILIES = tuple(_FAMILY_PARAMS)
+BUILTIN_FAMILIES = tuple(_FAMILIES)
 
 
 def make_builtin(
@@ -71,81 +99,27 @@ def make_builtin(
     params: Sequence[float] = (),
     domain: tuple[float, float] = (0.0, 1.0),
 ) -> PsiKernel:
-    """Construct a builtin kernel family on the requested domain.
-
-    Families: ``identity`` (psi = x), ``sqrt_shift`` with shift c
-    (psi = sqrt(x + c)), ``log`` (psi = ln x, requires x_lo > 0), ``exp``
-    (psi = e^x) and ``power`` with exponent p > 0 (psi = x^p, x_lo > 0
-    unless p = 1).
-    """
+    """Construct a builtin kernel family on the requested domain: ``identity``
+    (psi = x), ``sqrt_shift`` with shift c (sqrt(x + c)), ``log`` (ln x, x_lo > 0),
+    ``exp`` (e^x) or ``power`` with exponent p > 0 (x^p, x_lo > 0 unless p = 1)."""
     x_lo, x_hi = float(domain[0]), float(domain[1])
     params = tuple(float(p) for p in params)
-    wanted = _FAMILY_PARAMS.get(name)
-    if wanted is None:
+    if name not in _FAMILIES:
         raise KernelError(f"unknown kernel family {name!r}; known: {', '.join(BUILTIN_FAMILIES)}")
+    wanted, psi, deriv, inverse, check = _FAMILIES[name]
     if len(params) != len(wanted):
         count = f"one parameter ({wanted[0]})" if wanted else "no parameter"
         raise KernelError(f"{name} takes {count}")
+    problem = check(x_lo, *params)
+    if problem is not None:
+        raise KernelError(problem)
 
-    if name == "identity":
-        kern = PsiKernel(
-            "identity",
-            lambda x: np.asarray(x, dtype=float) + 0.0,
-            lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            lambda u: np.asarray(u, dtype=float) + 0.0,
-            x_lo,
-            x_hi,
-        )
-    elif name == "sqrt_shift":
-        c = params[0]
-        if not x_lo > -c:
-            raise KernelError(
-                f"sqrt_shift:{c:g} needs x_lo > {-c:g} for a finite positive derivative"
-            )
-        kern = PsiKernel(
-            f"sqrt_shift:{c:g}",
-            lambda x, c=c: np.sqrt(np.asarray(x, dtype=float) + c),
-            lambda x, c=c: 0.5 / np.sqrt(np.asarray(x, dtype=float) + c),
-            lambda u, c=c: np.asarray(u, dtype=float) ** 2 - c,
-            x_lo,
-            x_hi,
-        )
-    elif name == "log":
-        # psi(0) = -inf, so the transformed left endpoint must stay finite
-        if x_lo <= 0.0:
-            raise KernelError("log kernel needs x_lo > 0")
-        kern = PsiKernel(
-            "log",
-            lambda x: np.log(np.asarray(x, dtype=float)),
-            lambda x: 1.0 / np.asarray(x, dtype=float),
-            lambda u: np.exp(np.asarray(u, dtype=float)),
-            x_lo,
-            x_hi,
-        )
-    elif name == "exp":
-        kern = PsiKernel(
-            "exp",
-            lambda x: np.exp(np.asarray(x, dtype=float)),
-            lambda x: np.exp(np.asarray(x, dtype=float)),
-            lambda u: np.log(np.asarray(u, dtype=float)),
-            x_lo,
-            x_hi,
-        )
-    else:  # power
-        p = params[0]
-        if not p > 0:
-            raise KernelError("power kernel exponent must be positive")
-        if p != 1.0 and x_lo <= 0.0:
-            raise KernelError(f"power:{p:g} needs x_lo > 0")
-        kern = PsiKernel(
-            f"power:{p:g}",
-            lambda x, p=p: np.asarray(x, dtype=float) ** p,
-            lambda x, p=p: p * np.asarray(x, dtype=float) ** (p - 1.0),
-            lambda u, p=p: np.asarray(u, dtype=float) ** (1.0 / p),
-            x_lo,
-            x_hi,
-        )
-    return kern
+    def on_floats(f):
+        return lambda x: f(np.asarray(x, dtype=float), *params)
+
+    label = name + "".join(f":{p:g}" for p in params)
+    maps = (on_floats(f) for f in (psi, deriv, inverse))
+    return PsiKernel(label, *maps, x_lo, x_hi)
 
 
 def _split_id(text: str) -> tuple[str, tuple[float, ...]]:

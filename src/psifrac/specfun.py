@@ -322,7 +322,11 @@ def mittag_leffler(params: MLParams, z):
 def _ml_power(mu: float, lam: float, z):
     """E_mu(lam z^mu) for z >= 0, a float or an array: the output of
     ``kernels._z``, which rejects z < 0 (z^mu would be complex).  The
-    arguments are formed by one array power and evaluated by one call."""
+    arguments are formed by one array power and evaluated by one call; an
+    argument that overflows (inf, or NaN for lam = 0) is rejected by
+    ``mittag_leffler`` as not finite."""
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    return mittag_leffler(MLParams(alpha=mu), lam * np.asarray(z, dtype=float) ** mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = lam * np.asarray(z, dtype=float) ** mu
+    return mittag_leffler(MLParams(alpha=mu), arg)

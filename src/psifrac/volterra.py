@@ -84,11 +84,13 @@ def _apply_operator(problem: VolterraProblem, op, x: SampledFunction) -> np.ndar
     out = []
     for lo in range(0, len(ts), _ROW_BLOCK):
         rows = block[: len(ts) - lo]
-        for row, t in zip(rows, ts[lo:]):
-            row[:] = problem.integrand(float(t), nodes, x.values)
-        if not np.all(np.isfinite(rows)):
-            raise DivergenceError("integrand produced non-finite values", iteration=-1)
-        out.append(op.rows(rows, lo) if problem.t_dependent else op(rows[0]))
+        # inf or NaN in W or in J[W] is reported here or by the caller's guard
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, t in zip(rows, ts[lo:]):
+                row[:] = problem.integrand(float(t), nodes, x.values)
+            if not np.all(np.isfinite(rows)):
+                raise DivergenceError("integrand produced non-finite values", iteration=-1)
+            out.append(op.rows(rows, lo) if problem.t_dependent else op(rows[0]))
     return np.concatenate(out)
 
 
@@ -128,7 +130,7 @@ def picard_solve(
             ) from None
         new_vals = phi.values + integral
         sup = float(np.max(np.abs(new_vals)))
-        if sup > _DIVERGENCE_GUARD:
+        if not sup <= _DIVERGENCE_GUARD:  # NaN trips it too
             raise DivergenceError(
                 f"iterate {k} exceeded the divergence guard (sup = {sup:.3g})",
                 iteration=k,

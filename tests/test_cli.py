@@ -320,6 +320,33 @@ class TestInputRules:
         assert (code, out) == (1, "")
         assert err == "error: function id 'linear' needs finite arguments, got (inf,)\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("op", "--kind", "integral", "--f", "power:1000", "--b", "5"),
+             "sampled values must all be finite"),
+            (("op", "--kind", "integral", "--f", "linear:1e308", "--b", "5"),
+             "sampled values must all be finite"),
+            (("op", "--kind", "integral", "--f", "ml:0.5:1e308", "--b", "5"),
+             "z must be finite, got inf"),
+            (("op", "--kind", "integral", "--f", "ml:1000:0", "--b", "5"),
+             "z must be finite, got nan"),
+            (("oracle", "--which", "ml-eigen", "--lam", "1e308", "--x", "4"),
+             "z must be finite, got inf"),
+            (("volterra", "--phi", "sin", "--w", "power:-400", "--n", "64"),
+             "integrand produced non-finite values (iterate 1)"),
+            (("volterra", "--w", "power:1000", "--phi", "linear:3", "--n", "8"),
+             "integrand produced non-finite values (iterate 1)"),
+        ],
+        ids=["op-power", "op-linear", "op-ml", "op-ml-zero-rate", "oracle", "volterra-phi-sin",
+             "volterra-phi-linear"],
+    )
+    def test_overflowing_values_are_one_error_line(self, capsys, argv, message):
+        # an overflow to inf (or inf * 0) once printed a numpy warning first
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_compare_power_data_infinite_at_base_is_one_error_line(self, capsys):
         # the data are sampled through power:<delta>, which does not warn
         code, out, err = run_cli(capsys, "compare", "--op", "integral", "--delta", "0.5")

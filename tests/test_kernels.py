@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psifrac import KernelError, PsiKernel, kernel_from_id, make_builtin, validate
+from psifrac.kernels import BUILTIN_FAMILIES
 
 
 def test_identity_values():
@@ -49,6 +50,61 @@ def test_exp_and_power_families():
 def test_rejected_families(name, params, domain):
     with pytest.raises(KernelError):
         make_builtin(name, params, domain)
+
+
+@pytest.mark.parametrize(
+    "kid,domain,message",
+    [
+        ("identity:5", (0.0, 1.0), "identity takes no parameter"),
+        ("exp:1:2", (0.0, 1.0), "exp takes no parameter"),
+        ("sqrt_shift:1", (-2.0, 1.0), "sqrt_shift:1 needs x_lo > -1 for a finite positive derivative"),
+        ("sqrt_shift:nan", (0.0, 1.0), "sqrt_shift:nan needs x_lo > nan for a finite positive derivative"),
+        ("log", (0.0, 1.0), "log kernel needs x_lo > 0"),
+        ("power:-1", (0.5, 1.0), "power kernel exponent must be positive"),
+        ("power:2", (0.0, 1.0), "power:2 needs x_lo > 0"),
+        ("nosuch", (0.0, 1.0), "unknown kernel family 'nosuch'; known: identity, sqrt_shift, log, exp, power"),
+        ("sqrt_shift", (0.0, 1.0), "sqrt_shift takes one parameter (the shift c)"),
+        ("power", (1.0, 2.0), "power takes one parameter (the exponent p)"),
+    ],
+)
+def test_rejected_id_error_text(kid, domain, message):
+    with pytest.raises(KernelError) as info:
+        kernel_from_id(kid, domain)
+    assert str(info.value) == message
+
+
+# family -> (params, domain, label, psi, psi', psi^-1), the maps in closed form
+CLOSED_FORMS = {
+    "identity": ((), (0.0, 1.5), "identity", lambda x: x, np.ones_like, lambda u: u),
+    "sqrt_shift": (
+        (1.0,), (0.0, 1.5), "sqrt_shift:1",
+        lambda x: np.sqrt(x + 1.0), lambda x: 0.5 / np.sqrt(x + 1.0), lambda u: u**2 - 1.0,
+    ),
+    "log": ((), (1.0, 2.5), "log", np.log, lambda x: 1.0 / x, np.exp),
+    "exp": ((), (0.0, 1.5), "exp", np.exp, np.exp, np.log),
+    "power": (
+        (0.5,), (1.0, 2.5), "power:0.5",
+        lambda x: x**0.5, lambda x: 0.5 * x**-0.5, lambda u: u**2.0,
+    ),
+}
+
+
+def test_every_family_has_closed_forms():
+    assert tuple(CLOSED_FORMS) == BUILTIN_FAMILIES
+
+
+@pytest.mark.parametrize("family", BUILTIN_FAMILIES)
+def test_builtin_label_and_maps_bit_for_bit(family):
+    params, domain, label, *forms = CLOSED_FORMS[family]
+    k = make_builtin(family, params, domain)
+    assert k.name == label
+    xs = np.linspace(*domain, 11)
+    us = forms[0](xs)
+    for got, want, arg in zip((k.eval, k.deriv, k.inverse), forms, (xs, xs, us)):
+        for a in (arg, float(arg[3])):  # an array and a float
+            have, ref = np.asarray(got(a)), np.asarray(want(np.float64(a)))
+            assert have.dtype == np.float64 and have.shape == ref.shape
+            assert have.tobytes() == ref.tobytes()
 
 
 def test_kernel_from_id_parses_params():

@@ -171,6 +171,18 @@ class TestDivergenceHandling:
         with pytest.raises(DivergenceError):
             picard_solve(problem, tol=1e-8)
 
+    @pytest.mark.parametrize("t_dependent", [False, True], ids=["fast", "t_dependent"])
+    def test_finite_integrand_with_nan_operator_output_diverges(self, t_dependent):
+        # the slopes +-3.4e308 overflow, so J[W] is NaN; this once raised
+        # ValueError from the sampled-function check after numpy warnings
+        def w(t, s, x):
+            return np.where(np.arange(x.size) % 2, 1.7e308, -1.7e308)
+
+        problem = make_problem(w, n=64, t_dependent=t_dependent)
+        with pytest.raises(DivergenceError, match="divergence guard") as info:
+            picard_solve(problem, tol=1e-8)
+        assert info.value.iteration == 1
+
     def test_nonconvergence_returns_trace(self):
         problem = make_problem(lambda t, s, x: 0.9 * x)
         trace = picard_solve(problem, tol=1e-15, max_iter=2)

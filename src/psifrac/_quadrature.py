@@ -5,8 +5,8 @@ interpolant's piecewise-constant slopes, integrated exactly against the
 weight (tau_i - tau)^{s-1}/Gamma(s), optionally start-corrected, plus
 optionally the base-point power f(a) z^e/Gamma(e+1).  It is built once and
 holds everything that does not depend on the data: the table
-m^s - (m-1)^s, the start-correction block and the base column, and, once
-applied, the table's transforms.
+m^s - (m-1)^s and its transforms, the start-correction block and the base
+column.
 
 The slope integral is a causal convolution with the table.  Its first
 ``_DIRECT_N + 1`` outputs are summed directly (``np.convolve``), so up to
@@ -16,10 +16,9 @@ one zero-padded real FFT of the slopes up to hi against the table up to hi,
 so an application costs O(n log n).  FFT rounding scales with the largest
 product it sums, so an output's error scales with the products that reach
 its own level, not the whole grid's: on smooth data the relative error at
-nodes >= 3 stays below 5e-14 up to n = 65536.  The levels depend on n alone.
-A level's table transform is made by the first apply, in one batched FFT
-with that apply's data, and kept for later applies such as Picard sweeps;
-an operator used only through ``rows`` never makes them.
+nodes >= 3 stays below 5e-14 up to n = 65536.  The levels depend on n alone,
+so each level's table transform is made once, with the operator, and every
+apply (such as a Picard sweep) transforms only its data.
 
 The start correction refits nodal data over the first few cells with a
 sqrt(z) term and integrates the residual against the piecewise model
@@ -172,9 +171,9 @@ class DiscreteOp:
     """I^s of the slopes of nodal values on n cells of width h; order 0 is
     the backward difference quotient.  ``corrected`` adds the start
     correction, ``base_exponent`` e adds f(a) z^e/Gamma(e+1) (0.0 at the base
-    node, where a negative power is infinite).  Holds the table, the
-    correction block (no columns when uncorrected) and the base column, and
-    from the first apply on the table's transform at each FFT level."""
+    node, where a negative power is infinite).  Holds the table and its
+    transform at each FFT level, the correction block (no columns when
+    uncorrected) and the base column."""
 
     def __init__(self, s: float, n: int, h: float, base_exponent=None, corrected=True):
         self.s, self.n, self.h = float(s), n, h
@@ -185,9 +184,9 @@ class DiscreteOp:
                 self._scale = float(h) ** self.s / math.gamma(self.s + 1.0)
             except OverflowError:
                 raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
-            self._levels = _levels(n)
-            # each level's table transform, filled by the first apply
-            self._table_ffts = [None] * len(self._levels)
+            # each FFT level and its table transform
+            self._levels = [(lo, hi, size, np.fft.rfft(self._table[1 : hi + 1], size))
+                            for lo, hi, size in _levels(n)]
             if corrected:
                 self._block = _correction_block(self.s, n, h)
         self._base = None
@@ -210,15 +209,8 @@ class DiscreteOp:
             m = min(n, _DIRECT_N)
             out = np.empty(n + 1)
             out[: m + 1] = np.convolve(d[:m], self._table[: m + 1])[: m + 1]
-            for i, (lo, hi, size) in enumerate(self._levels):
-                table_fft = self._table_ffts[i]
-                if table_fft is None:
-                    pair = np.fft.rfft(np.stack((d[:hi], self._table[1 : hi + 1])), size)
-                    # a copy, so the cache does not keep the data's transform
-                    d_fft, table_fft = pair[0], pair[1].copy()
-                    self._table_ffts[i] = table_fft
-                else:
-                    d_fft = np.fft.rfft(d[:hi], size)
+            for lo, hi, size, table_fft in self._levels:
+                d_fft = np.fft.rfft(d[:hi], size)
                 out[lo + 1 : hi + 1] = np.fft.irfft(d_fft * table_fft, size)[lo:hi]
             out *= self._scale
         out[1:] += self._block @ self._second_differences(values)

@@ -116,12 +116,13 @@ _MIN_TERMS = 5
 # of it; against a 60-digit series the true error ran 1-25x that estimate
 _CANCELLATION_LIMIT = 1e-11
 
-# the series and the contour work on at most this many points at a time, the
-# series on this many terms at a time, so each temporary array stays under
-# 100 kB whatever the input size (512 points raised a curve's peak RSS by
-# 0.5 MB, 256 by 0.15 MB)
+# the contour and the series work on at most this many points at a time, so
+# each temporary array stays under 100 kB whatever the input size (contour
+# points at 512 raised a curve's peak RSS by 0.5 MB, at 256 by 0.15 MB).  The
+# series makes a dozen numpy calls per term, so it needs the larger chunk to
+# amortise them: a 65537-point array took 52 ms at 512 and 17 ms at 4096
 _CHUNK = 256
-_SERIES_ROWS = 32
+_SERIES_CHUNK = 4096
 
 # Contour.  For 0 < a < 1 and x > 0, with t = x^(1/a),
 #     E_{a,b}(-x) = t^(1-b) L^-1[s^(a-b) / (s^a + 1)](t),
@@ -181,73 +182,58 @@ def _asymptotic(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     return -total
 
 
-def _series_chunk(params: MLParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# a term or a partial sum may overflow; each is reported as an error
+@np.errstate(over="ignore")
+def _series(params: MLParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The series at each nonzero z of a chunk, and its term count.
 
     Each point has its own stop: term k once k >= 5 and
-    |term_k| <= tol |partial_sum|.  Term magnitudes are formed in log space
-    from one lgamma table shared by all points, and partial sums accumulate
-    term by term.  Raises MLConvergenceError for the first point whose
+    |term_k| <= tol |partial_sum|.  Pass k forms term k of every point in log
+    space, adds it to the point's partial sum and retires the points that
+    stopped.  Raises MLConvergenceError for the lowest-index point whose
     series runs out of ``max_terms``, overflows (a term or the sum), or
     cancels so far that 2^-52 max|term| exceeds 1e-11 |sum|.
     """
     a, b, tol = params.alpha, params.beta, params.tol
     values = np.empty(z.size)
     terms = np.empty(z.size, dtype=np.int64)
-    # (index, message, partial sum, term count) of the first point that fails
-    failure = None
-
-    def fail(i, message, partial, count):
-        nonlocal failure
-        if failure is None or i < failure[0]:
-            name = f"E_{{{a:g},{b:g}}}({z[i]:g})"
-            failure = (i, name + message, float(partial), int(count))
-
-    live = np.arange(z.size)
+    # (index, message, partial sum, term count) per failing point
+    failures = []
     log_abs, negative = np.log(np.abs(z)), z < 0
     total = largest = np.zeros(z.size)
-    for k0 in range(0, params.max_terms, _SERIES_ROWS):
-        k = np.arange(k0, min(k0 + _SERIES_ROWS, params.max_terms))
-        lgam = np.array([math.lgamma(a * i + b) for i in k.tolist()])
-        # a term or a partial sum may overflow; each is reported as an error
-        with np.errstate(over="ignore"):
-            size = np.exp(np.outer(k, log_abs) - lgam[:, None])
-            overflow = np.isinf(size)
-            size[overflow] = 0.0
-            term = np.where((k % 2 == 1)[:, None] & negative, -size, size)
-            # row r + 1 is the partial sum after term k0 + r
-            sums = np.cumsum(np.concatenate((total[None], term)), axis=0)
-        peaks = np.maximum(np.maximum.accumulate(size, axis=0), largest)
-        stop = (k >= _MIN_TERMS)[:, None] & (size <= tol * np.abs(sums[1:]))
-        event = overflow | stop
-        cols = np.arange(live.size)
-        j = event.argmax(axis=0)
-        done = event[j, cols]
-        after, peak = sums[j + 1, cols], peaks[j, cols]
-        cancelled = 2.0**-52 * peak > _CANCELLATION_LIMIT * np.abs(after)
-        bad = done & (overflow[j, cols] | np.isinf(after) | cancelled)
-        ok = done & ~bad
-        values[live[ok]], terms[live[ok]] = after[ok], k[j[ok]] + 1
+    live = np.ones(z.size, dtype=bool)
+    for k in range(params.max_terms):
+        size = np.exp(k * log_abs - math.lgamma(a * k + b))
+        overflow = np.isinf(size)
+        size[overflow] = 0.0
+        term = np.where(negative, -size, size) if k % 2 else size
+        total = total + term
+        largest = np.maximum(largest, size)
+        stop = live & (overflow | (k >= _MIN_TERMS) & (size <= tol * np.abs(total)))
+        if not stop.any():
+            continue
+        cancelled = 2.0**-52 * largest > _CANCELLATION_LIMIT * np.abs(total)
+        bad = stop & (overflow | np.isinf(total) | cancelled)
+        ok = stop & ~bad
+        values[ok], terms[ok] = total[ok], k + 1
         if bad.any():
-            c = int(bad.argmax())
-            r = j[c]
-            if overflow[r, c] or math.isinf(after[c]):
-                partial = sums[r, c] if overflow[r, c] else after[c]
-                fail(live[c], f" overflows float64 at term {k[r]}", partial, k[r])
+            i = int(bad.argmax())
+            if overflow[i] or math.isinf(total[i]):
+                failures.append((i, f" overflows float64 at term {k}", total[i], k))
             else:
-                fail(live[c], f": the series cancelled (largest term {peak[c]:.3g}, "
-                     f"sum {after[c]:.3g})", after[c], k[r] + 1)
-        keep = ~done
-        if not keep.any():
+                failures.append((i, f": the series cancelled (largest term {largest[i]:.3g}, "
+                                 f"sum {total[i]:.3g})", total[i], k + 1))
+        live &= ~stop
+        if not live.any():
             break
-        live, log_abs, negative = live[keep], log_abs[keep], negative[keep]
-        total, largest = sums[-1, keep], peaks[-1, keep]
-    else:
-        fail(live[0], f" did not converge in {params.max_terms} terms "
-             f"(last term {term[-1, keep][0]:g})", total[0], params.max_terms)
-    if failure is not None:
-        _, message, partial, count = failure
-        raise MLConvergenceError(message, partial_sum=partial, terms=count)
+    if live.any():
+        i = int(live.argmax())
+        failures.append((i, f" did not converge in {params.max_terms} terms "
+                         f"(last term {term[i]:g})", total[i], params.max_terms))
+    if failures:
+        i, message, partial, count = min(failures)
+        raise MLConvergenceError(f"E_{{{a:g},{b:g}}}({z[i]:g})" + message,
+                                 partial_sum=float(partial), terms=int(count))
     return values, terms
 
 
@@ -293,9 +279,9 @@ def _evaluate(params: MLParams, z) -> tuple[np.ndarray, np.ndarray]:
                 terms[near] = _CONTOUR_N + 1
             series &= ~low
         series = np.flatnonzero(series)
-        for start in range(0, series.size, _CHUNK):
-            part = series[start:start + _CHUNK]
-            values[part], terms[part] = _series_chunk(params, flat[part])
+        for start in range(0, series.size, _SERIES_CHUNK):
+            part = series[start:start + _SERIES_CHUNK]
+            values[part], terms[part] = _series(params, flat[part])
     return values.reshape(zs.shape), terms.reshape(zs.shape)
 
 
@@ -323,10 +309,12 @@ def _ml_power(mu: float, lam: float, z):
     """E_mu(lam z^mu) for z >= 0, a float or an array: the output of
     ``kernels._z``, which rejects z < 0 (z^mu would be complex).  The
     arguments are formed by one array power and evaluated by one call; an
-    argument that overflows (inf, or NaN for lam = 0) is rejected by
-    ``mittag_leffler`` as not finite."""
+    argument that overflows to inf is rejected by ``mittag_leffler`` as not
+    finite.  lam = 0 gives all-zero arguments, where 0 * z^mu would be NaN
+    once z^mu overflows."""
     if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        arg = lam * np.asarray(z, dtype=float) ** mu
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):
+        arg = lam * z**mu if lam != 0.0 else np.zeros_like(z)
     return mittag_leffler(MLParams(alpha=mu), arg)

@@ -329,8 +329,6 @@ class TestInputRules:
              "sampled values must all be finite"),
             (("op", "--kind", "integral", "--f", "ml:0.5:1e308", "--b", "5"),
              "z must be finite, got inf"),
-            (("op", "--kind", "integral", "--f", "ml:1000:0", "--b", "5"),
-             "z must be finite, got nan"),
             (("oracle", "--which", "ml-eigen", "--lam", "1e308", "--x", "4"),
              "z must be finite, got inf"),
             (("volterra", "--phi", "sin", "--w", "power:-400", "--n", "64"),
@@ -338,14 +336,19 @@ class TestInputRules:
             (("volterra", "--w", "power:1000", "--phi", "linear:3", "--n", "8"),
              "integrand produced non-finite values (iterate 1)"),
         ],
-        ids=["op-power", "op-linear", "op-ml", "op-ml-zero-rate", "oracle", "volterra-phi-sin",
-             "volterra-phi-linear"],
+        ids=["op-power", "op-linear", "op-ml", "oracle", "volterra-phi-sin", "volterra-phi-linear"],
     )
     def test_overflowing_values_are_one_error_line(self, capsys, argv, message):
         # an overflow to inf (or inf * 0) once printed a numpy warning first
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+    def test_zero_rate_ml_past_overflow_is_one(self, capsys):
+        # E_mu(0 z^mu) = 1 even where z^mu overflows; 0 * inf once gave NaN
+        argv = ("op", "--kind", "integral", "--b", "5")
+        one = run_cli(capsys, *argv, "--f", "one")
+        assert one[0] == 0 and run_cli(capsys, *argv, "--f", "ml:1000:0") == one
 
     def test_compare_power_data_infinite_at_base_is_one_error_line(self, capsys):
         # the data are sampled through power:<delta>, which does not warn

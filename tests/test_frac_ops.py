@@ -703,6 +703,19 @@ class TestOperatorAlgebra:
         assert dists[-1] <= dists[0] / 4
 
 
+class TestRelativeSupError:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_all_zero_reference_gives_absolute_error(self, side):
+        # no scale to divide by: the error is sup|num| away from the base node
+        grid = identity_grid(16)
+        values = np.zeros(17)
+        values[0], values[-1] = 100.0, -5.0
+        num = SampledFunction(grid, values if side == "left" else values[::-1])
+        zero = np.zeros(17)
+        assert relative_sup_error(num, zero, side=side) == 5.0
+        assert relative_sup_error(num, SampledFunction(grid, zero), side=side) == 5.0
+
+
 class TestLimitProbe:
     def test_identity_regime_monotone(self):
         grid = identity_grid(1024)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psifrac import SampledFunction, TransformedGrid, make_builtin
+from psifrac import PsiKernel, SampledFunction, TransformedGrid, make_builtin
 
 
 @pytest.mark.parametrize("kid,a,b", [("identity", 0.0, 1.0), ("sqrt_shift", 0.0, 3.0)])
@@ -29,6 +29,26 @@ def test_interval_must_sit_in_kernel_domain():
         TransformedGrid.build(kernel, 0.0, 2.0, 16)
     with pytest.raises(ValueError):
         TransformedGrid.build(kernel, 0.5, 0.5, 16)
+
+
+def test_needs_one_subinterval():
+    kernel = make_builtin("identity", (), (0.0, 1.0))
+    with pytest.raises(ValueError, match="^need at least one subinterval$"):
+        TransformedGrid.build(kernel, 0.0, 1.0, 0)
+
+
+def test_non_increasing_nodes_rejected():
+    # an inverse that maps every tau to one x leaves repeated interior nodes
+    flat = PsiKernel(
+        "flat",
+        eval=lambda x: np.asarray(x, dtype=float),
+        deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        inverse=lambda u: np.full_like(np.asarray(u, dtype=float), 0.5),
+        x_lo=0.0,
+        x_hi=1.0,
+    )
+    with pytest.raises(ValueError, match="^kernel 'flat' produced non-increasing x nodes$"):
+        TransformedGrid.build(flat, 0.0, 1.0, 4)
 
 
 def test_sampled_function_shape_and_finiteness():

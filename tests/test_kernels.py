@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psifrac import KernelError, PsiKernel, kernel_from_id, make_builtin, validate
-from psifrac.kernels import BUILTIN_FAMILIES
+from psifrac.kernels import BUILTIN_FAMILIES, _z
 
 
 def test_identity_values():
@@ -220,3 +220,20 @@ def test_validate_flags_nan_kernel():
     assert len(report.inverse_errors) == 10
     assert math.isnan(report.max_derivative_mismatch)
     assert math.isnan(report.max_inverse_error)
+
+
+def test_z_rejects_nan_inside_the_domain():
+    # finite at both ends, so the kernel is built; NaN only in between
+    holed = PsiKernel(
+        "holed",
+        eval=lambda x: np.where((0.0 < x) & (x < 1.0), np.nan, x),
+        deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        inverse=lambda u: np.asarray(u, dtype=float),
+        x_lo=0.0,
+        x_hi=1.0,
+    )
+    assert _z(holed, 0.0, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match=r"^need z >= 0 for z = psi\(x\) - psi\(a\), got z = nan$"):
+        _z(holed, 0.0, np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="got z = nan$"):
+        _z(holed, 0.0, 0.25)

@@ -88,6 +88,14 @@ class TestSolution:
             make_spec(n0=-1.0)
         with pytest.raises(ValueError):
             make_spec(horizon=0.0)
+        # kernels with a valid domain, so the spec's own checks are reached
+        wide = make_builtin("identity", (), (-2.0, 1.0))
+        for horizon in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^horizon must be positive$"):
+                make_spec(horizon=horizon, kernel=wide)
+        for domain in ((0.0, 1.0), (0.5, 3.0)):
+            with pytest.raises(ValueError, match=r"^kernel domain must include \[0, horizon\]$"):
+                make_spec(horizon=2.0, kernel=make_builtin("identity", (), domain))
 
 
 class TestCurve:

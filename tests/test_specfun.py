@@ -373,6 +373,16 @@ class TestMittagLeffler:
             mittag_leffler(params, [0.5, -30.0, 800.0])
         with pytest.raises(MLConvergenceError, match=r"\(800\) overflows"):
             mittag_leffler(params, [800.0, -30.0])
+        # E_{1,2}(1e10) overflows at term 35, long before E_{1,2}(20) runs
+        # out of terms; the lower index is reported either way
+        short = MLParams(1.0, 2.0, max_terms=50)
+        with pytest.raises(MLConvergenceError, match=r"\(20\) did not converge in 50 terms"):
+            mittag_leffler(short, [20.0, 1e10])
+        with pytest.raises(MLConvergenceError, match=r"\(1e\+10\) overflows float64 at term 35"):
+            mittag_leffler(short, [1e10, 20.0])
+        # failures more than one chunk of points apart
+        with pytest.raises(MLConvergenceError, match=r"\(800\) overflows"):
+            mittag_leffler(params, [800.0] + [0.5] * 5000 + [-30.0])
 
     def test_large_negative_argument_alternating(self):
         # cos(5) through the alpha = 2 reduction exercises cancellation

@@ -25,9 +25,10 @@ sqrt(z) term and integrates the residual against the piecewise model
 exactly.  Without it any polynomial cell model keeps an n-independent
 relative error a few nodes from the base point whenever the data carry the
 z^(1/2)-type behaviour that fractional operators produce.  It is linear in
-the data's second differences over the first cells, so it is one (n, cells)
-block, applied by one matrix-vector product.  One Gauss-Legendre rule per
-cell builds it: summed directly near the base point, expanded in 1/k past it.
+the data's second differences over the first cells, so it is one
+(n + 1, cells) block, row k for node k, applied by one matrix-vector product.
+One Gauss-Legendre rule per cell builds it: summed directly near the base
+point, expanded in 1/k past it.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ _NEAR_BASE, _NEAR_W, _MOMENTS, _NEAR_SERIES = _rule_tables()
 
 
 def _correction_block(s: float, n: int, h: float) -> np.ndarray:
-    """Start correction as one (n, cells) block; row i - 1 times the data's
-    first ``cells`` second differences is the correction at node i.
+    """Start correction as one (n + 1, cells) block: row k times the data's
+    first ``cells`` second differences is the correction at node k, 0 at k = 0.
 
     Cell j is refit through nodes {j, j+1, j+2} with f0 + a sqrt(z) + b z, so
     a = Δ²f_j / Δ²sqrt(j) on unit spacing.  Its column at node k > j is, by
@@ -140,7 +141,7 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
     cells = min(CORRECTION_CELLS, n - 1)
     r = np.sqrt(np.arange(cells + 2, dtype=float))
     col_scale = (h ** (s - 1.0) / math.gamma(s)) / np.diff(r, 2)
-    block = np.zeros((n, cells))
+    block = np.zeros((n + 1, cells))
 
     near = min(n, _NEAR_K)
     cols = (s - 1.0) * np.einsum("kji,kji->kj", _NEAR_BASE ** (s - 2.0), _NEAR_W)
@@ -148,7 +149,7 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
     tail = (2.0 - math.sqrt(2.0)) * math.expm1((s - 1.0) * math.log(2.0)) / s
     c00 = 2.0 ** (0.5 - s) * (cols[1, 0] + adjacent[0] + tail)
     np.fill_diagonal(cols, np.concatenate(([c00], adjacent)))
-    block[:near] = cols[:near, :cells] * col_scale
+    block[1 : near + 1] = cols[:near, :cells] * col_scale
 
     if n > near:
         m = np.arange(1.0, _FAR_TERMS)
@@ -163,32 +164,28 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
             powers[0] = k ** (s - 2.0)
             for i in range(1, _FAR_TERMS):
                 np.multiply(powers[i - 1], x, out=powers[i])
-            np.matmul(powers.T, coef, out=block[lo : lo + k.size])
+            np.matmul(powers.T, coef, out=block[lo + 1 : lo + 1 + k.size])
     return block
 
 
 class DiscreteOp:
-    """I^s of the slopes of nodal values on n cells of width h; order 0 is
-    the backward difference quotient.  ``corrected`` adds the start
-    correction, ``base_exponent`` e adds f(a) z^e/Gamma(e+1) (0.0 at the base
-    node, where a negative power is infinite).  Holds the table and its
-    transform at each FFT level, the correction block (no columns when
-    uncorrected) and the base column."""
+    """I^s (s > 0) of the slopes of nodal values on n cells of width h.
+    ``corrected`` adds the start correction, ``base_exponent`` e adds f(a)
+    z^e/Gamma(e+1) (0.0 at the base node, where a negative power is infinite).
+    Holds the table and its transform at each FFT level, the node-indexed
+    correction block (no columns when uncorrected) and the base column."""
 
     def __init__(self, s: float, n: int, h: float, base_exponent=None, corrected=True):
-        self.s, self.n, self.h = float(s), n, h
-        self._block = np.zeros((n, 0))
-        if self.s > 0.0:
-            self._table = _pwconst_kernel(self.s, n)
-            try:
-                self._scale = float(h) ** self.s / math.gamma(self.s + 1.0)
-            except OverflowError:
-                raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
-            # each FFT level and its table transform
-            self._levels = [(lo, hi, size, np.fft.rfft(self._table[1 : hi + 1], size))
-                            for lo, hi, size in _levels(n)]
-            if corrected:
-                self._block = _correction_block(self.s, n, h)
+        self.n, self.h = n, h
+        self._table = _pwconst_kernel(s, n)
+        try:
+            self._scale = float(h) ** s / math.gamma(s + 1.0)
+        except OverflowError:
+            raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
+        # each FFT level and its table transform
+        self._levels = [(lo, hi, size, np.fft.rfft(self._table[1 : hi + 1], size))
+                        for lo, hi, size in _levels(n)]
+        self._block = _correction_block(s, n, h) if corrected else np.zeros((n + 1, 0))
         self._base = None
         if base_exponent is not None:
             self._base = np.zeros(n + 1)
@@ -201,41 +198,34 @@ class DiscreteOp:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """The operator at all n + 1 nodes; exactly 0.0 at node 0."""
-        n = self.n
         d = np.diff(values) / self.h
-        if self.s == 0.0:
-            out = np.concatenate(([0.0], d))
-        else:
-            m = min(n, _DIRECT_N)
-            out = np.empty(n + 1)
-            out[: m + 1] = np.convolve(d[:m], self._table[: m + 1])[: m + 1]
-            for lo, hi, size, table_fft in self._levels:
-                d_fft = np.fft.rfft(d[:hi], size)
-                out[lo + 1 : hi + 1] = np.fft.irfft(d_fft * table_fft, size)[lo:hi]
-            out *= self._scale
-        out[1:] += self._block @ self._second_differences(values)
+        m = min(self.n, _DIRECT_N)
+        out = np.empty(self.n + 1)
+        out[: m + 1] = np.convolve(d[:m], self._table[: m + 1])[: m + 1]
+        for lo, hi, size, table_fft in self._levels:
+            d_fft = np.fft.rfft(d[:hi], size)
+            out[lo + 1 : hi + 1] = np.fft.irfft(d_fft * table_fft, size)[lo:hi]
+        out *= self._scale
+        # rows 1..n only: the whole block's product rounds differently
+        out[1:] += self._block[1:] @ self._second_differences(values)
         if self._base is not None:
             out += values[0] * self._base
         out[0] = 0.0
         return out
 
     @cached_property
-    def _row_parts(self) -> tuple[np.ndarray, np.ndarray]:
+    def _row_weights(self) -> np.ndarray:
         """Row i: node i's scaled slope weights, table[i - j] at column j and zero
-        for j >= i (order 0: slope i alone), a zero-copy view of the reversed
-        table behind n zeros; and node i's correction row, zero at node 0."""
-        table = self._table * self._scale if self.s > 0.0 else np.eye(1, self.n + 1, 1)[0]
-        padded = np.concatenate((table[::-1], np.zeros(self.n)))
-        block = np.concatenate((np.zeros((1, self._block.shape[1])), self._block))
-        return sliding_window_view(padded, self.n)[::-1][1:], block
+        for j >= i, a zero-copy view of the reversed table behind n zeros."""
+        padded = np.concatenate(((self._table * self._scale)[::-1], np.zeros(self.n)))
+        return sliding_window_view(padded, self.n)[::-1][1:]
 
     def rows(self, values: np.ndarray, lo: int) -> np.ndarray:
         """Node lo + r of ``self(values[r])`` for each row r of a (rows, n + 1)
         block, in O(rows n), up to the slope integral's summation order."""
-        weights, block = self._row_parts
         hi = lo + values.shape[0]
-        out = np.einsum("ij,ij->i", np.diff(values), weights[lo:hi]) / self.h
-        out += np.einsum("ij,ij->i", block[lo:hi], self._second_differences(values))
+        out = np.einsum("ij,ij->i", np.diff(values), self._row_weights[lo:hi]) / self.h
+        out += np.einsum("ij,ij->i", self._block[lo:hi], self._second_differences(values))
         if self._base is not None:
             out += values[:, 0] * self._base[lo:hi]
         return out

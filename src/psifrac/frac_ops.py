@@ -138,9 +138,13 @@ def psi_hilfer_derivative(
 
     The three stages are contracted exactly on the interpolant; the type
     ``nu`` decides only the fate of the value at the base point (annihilated
-    at nu = 1, where the inner integral is the identity).
+    at nu = 1, where the inner integral is the identity).  At mu = 1 it is
+    the backward difference quotient, 0.0 at the base node.
     """
     _require_resolution(f)
+    if p.mu == 1.0:  # + 0.0 turns a -0.0 quotient into +0.0
+        d = np.diff(_oriented(f, side)) / f.grid.h + 0.0
+        return _emit(f, np.concatenate(([0.0], d)), side)
     base = -p.mu if (1.0 - p.nu) * (1.0 - p.mu) > 0.0 else None  # inner order > 0
     op = quad.DiscreteOp(1.0 - p.mu, f.grid.n, f.grid.h, base_exponent=base)
     return _emit(f, op(_oriented(f, side)), side)

@@ -165,11 +165,20 @@ def _contour(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     return values
 
 
+def _lgamma(v: float) -> float:
+    """log Gamma(v), inf where it overflows float64 (v past about 2.5e305),
+    so that 1/Gamma(v) = exp(-inf) = 0 there."""
+    try:
+        return math.lgamma(v)
+    except OverflowError:
+        return math.inf
+
+
 def _rgamma(v: float) -> float:
     """1/Gamma(v), 0 at the poles."""
     if v <= 0.0 and v == math.floor(v):
         return 0.0
-    return 1.0 / gamma(v) if v < _GAMMA_OVERFLOW else math.exp(-math.lgamma(v))
+    return 1.0 / gamma(v) if v < _GAMMA_OVERFLOW else math.exp(-_lgamma(v))
 
 
 def _asymptotic(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
@@ -203,7 +212,7 @@ def _series(params: MLParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     total = largest = np.zeros(z.size)
     live = np.ones(z.size, dtype=bool)
     for k in range(params.max_terms):
-        size = np.exp(k * log_abs - math.lgamma(a * k + b))
+        size = np.exp(k * log_abs - _lgamma(a * k + b))
         overflow = np.isinf(size)
         size[overflow] = 0.0
         term = np.where(negative, -size, size) if k % 2 else size

@@ -74,11 +74,10 @@ class ContractionReport:
     contractive: bool
 
 
-def _apply_operator(problem: VolterraProblem, op, x: SampledFunction) -> np.ndarray:
+def _apply_operator(problem: VolterraProblem, op, nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J[W] at every node.  W(t_i, s, x) fills row i of a block (a constant
     broadcasts, other lengths raise ValueError) and node lo + r reads row r; a
     t-free W fills one row (t = NaN, a canary) for the O(n log n) apply."""
-    nodes = x.grid.x_nodes
     ts = nodes if problem.t_dependent else [float("nan")]
     block = np.empty((min(_ROW_BLOCK, len(ts)), nodes.size))
     out = []
@@ -87,7 +86,7 @@ def _apply_operator(problem: VolterraProblem, op, x: SampledFunction) -> np.ndar
         # inf or NaN in W or in J[W] is reported here or by the caller's guard
         with np.errstate(over="ignore", invalid="ignore"):
             for row, t in zip(rows, ts[lo:]):
-                row[:] = problem.integrand(float(t), nodes, x.values)
+                row[:] = problem.integrand(float(t), nodes, x)
             if not np.all(np.isfinite(rows)):
                 raise DivergenceError("integrand produced non-finite values", iteration=-1)
             out.append(op.rows(rows, lo) if problem.t_dependent else op(rows[0]))
@@ -113,43 +112,39 @@ def picard_solve(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = problem.grid()
     op = _composed_op(problem.p, grid)
-    phi = SampledFunction.from_callable(grid, problem.phi)
-
-    x = phi if x0 is None else x0
-    if x.grid != grid:
+    nodes = grid.x_nodes
+    phi = SampledFunction.from_callable(grid, problem.phi).values
+    if x0 is not None and x0.grid != grid:
         raise ValueError("x0 must live on the problem grid")
+    # iterates are read-only, as SampledFunction values; the guard keeps them finite
+    x = phi if x0 is None else x0.values
 
     sup_diffs: list[float] = []
-    converged = False
     for k in range(1, max_iter + 1):
         try:
-            integral = _apply_operator(problem, op, x)
+            integral = _apply_operator(problem, op, nodes, x)
         except DivergenceError as exc:
             raise DivergenceError(
                 f"{exc} (iterate {k})", iteration=k
             ) from None
-        new_vals = phi.values + integral
-        sup = float(np.max(np.abs(new_vals)))
+        new = phi + integral
+        sup = float(np.max(np.abs(new)))
         if not sup <= _DIVERGENCE_GUARD:  # NaN trips it too
             raise DivergenceError(
                 f"iterate {k} exceeded the divergence guard (sup = {sup:.3g})",
                 iteration=k,
             )
-        x_new = SampledFunction(grid, new_vals)
-        diff = float(np.max(np.abs(x_new.values - x.values)))
-        sup_diffs.append(diff)
-        x = x_new
-        if diff <= tol:
-            converged = True
+        new.setflags(write=False)
+        sup_diffs.append(float(np.max(np.abs(new - x))))
+        x = new
+        if sup_diffs[-1] <= tol:
             break
 
-    residual = float(
-        np.max(np.abs(x.values - (phi.values + _apply_operator(problem, op, x))))
-    )
+    residual = float(np.max(np.abs(x - (phi + _apply_operator(problem, op, nodes, x)))))
     return PicardTrace(
-        solution=x,
+        solution=SampledFunction(grid, x),
         sup_diffs=sup_diffs,
-        converged=converged,
+        converged=sup_diffs[-1] <= tol,
         iterations=len(sup_diffs),
         residual=residual,
     )

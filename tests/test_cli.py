@@ -261,6 +261,22 @@ class TestInputRules:
         assert (code, err) == (0, "")
         assert out.splitlines() == ["value = 0", "terms = 1"]
 
+    @pytest.mark.parametrize(
+        "argv,lines",
+        [
+            (("--alpha", "1e305", "--z", "0.5"), ["value = 1", "terms = 6"]),
+            (("--alpha", "0.5", "--beta", "1e308", "--z", "0"), ["value = 0", "terms = 1"]),
+            (("--alpha", "0.5", "--beta", "1e308", "--z", "0.5"), ["value = 0", "terms = 6"]),
+            (("--alpha", "0.5", "--beta", "1e308", "--z=-5"), ["value = 0", "terms = 6"]),
+            (("--alpha", "0", "--beta", "1e308", "--z", "0.5"), ["value = 0", "terms = 1"]),
+        ],
+    )
+    def test_ml_log_gamma_overflow_prints_value(self, capsys, argv, lines):
+        # math.lgamma raises OverflowError past about 2.5e305, where 1/Gamma is 0
+        code, out, err = run_cli(capsys, "ml", *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines
+
     def test_oracle_gamma_overflow_is_one_error_line(self, capsys):
         code, out, err = run_cli(
             capsys, "oracle", "--which", "power-int", "--delta", "200", "--x", "0.5"

@@ -223,6 +223,20 @@ class TestMittagLeffler:
         assert mittag_leffler(MLParams(alpha, 200.0), z) == 0.0
 
     @pytest.mark.parametrize(
+        "alpha,beta,z,value,terms",
+        [
+            (0.5, 1e308, 0.0, 0.0, 1),
+            *((0.5, 1e308, z, 0.0, 6) for z in (0.5, -0.5, -5.0, -500.0)),
+            *((1e305, 1.0, z, 1.0, 6) for z in (0.5, -0.5, -5.0, -500.0)),
+            (0.0, 1e308, 0.5, 0.0, 1),
+        ],
+    )
+    def test_log_gamma_overflow_gives_zero_reciprocal(self, alpha, beta, z, value, terms):
+        # lgamma raises OverflowError past about 2.5e305; 1/Gamma is 0 there,
+        # so E = 1/Gamma(beta) + z/Gamma(alpha + beta) + ... keeps its finite terms
+        assert mittag_leffler_terms(MLParams(alpha, beta), z) == (value, terms)
+
+    @pytest.mark.parametrize(
         "alpha,z", [(0.5, -5.0), (0.5, -10.0), (1.0, -8.0), (1.0, -30.0)]
     )
     def test_former_cancelled_inputs_are_accurate(self, alpha, z):

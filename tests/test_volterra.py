@@ -84,6 +84,20 @@ class TestPicardBasics:
         with pytest.raises(ValueError):
             picard_solve(problem, tol=1e-8, max_iter=max_iter)
 
+    def test_integrand_cannot_write_into_the_iterate(self):
+        # phi and every later iterate are read-only, as SampledFunction values
+        calls = []
+
+        def w(t, s, x):
+            calls.append(t)
+            if len(calls) > 1:
+                x[0] = 0.0
+            return -0.5 * x
+
+        with pytest.raises(ValueError, match="read-only"):
+            picard_solve(make_problem(w, n=64), tol=1e-12)
+        assert len(calls) == 2
+
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
             make_problem(lambda t, s, x: x, n=4)

@@ -28,7 +28,8 @@ z^(1/2)-type behaviour that fractional operators produce.  It is linear in
 the data's second differences over the first cells, so it is one
 (n + 1, cells) block, row k for node k, applied by one matrix-vector product.
 One Gauss-Legendre rule per cell builds it: summed directly near the base
-point, expanded in 1/k past it.
+point from the logarithms of its nodes' distances, tabulated at import, and
+expanded past it in 1/(k - 4), about the middle of the refit cells.
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ _DIRECT_N = 128
 _LEVEL_RATIO = 4
 
 # correction rows 1.._NEAR_K: one _NEAR_NODES-point rule per cell and a
-# _NEAR_TERMS-term series; later rows: the rule in 1/k, _FAR_CHUNK at a time
-_NEAR_K = 128
+# _NEAR_TERMS-term series; later rows: the rule in 1/(k - _FAR_CENTRE), about
+# the cells' midpoint, _FAR_CHUNK at a time
+_NEAR_K = 68
 _NEAR_NODES = 16
 _NEAR_TERMS = 48
+_FAR_CENTRE = CORRECTION_CELLS / 2
 # v^m q_j has degree 2m + 3 in u, so the rule integrates m <= _NEAR_NODES - 2
 _FAR_TERMS = _NEAR_NODES - 1
 _FAR_CHUNK = 2048
@@ -91,8 +94,9 @@ def _levels(n: int) -> list[tuple[int, int, int]]:
 
 def _rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per cell a Gauss-Legendre rule (Newton on the Legendre recurrence) in u =
-    sqrt(v), W = w 2u q_j(u): rows k by cells j by nodes k - v = (k-j-1) + (j+1-v)
-    and W, zero for k <= j+1; Q[j, m] = sum_i W_ji v_ji^m; cells j >= 1: b_m (m-1)."""
+    sqrt(v), W = w 2u q_j(u): rows k by cells j by nodes log(k - v), k - v =
+    (k-j-1) + (j+1-v), and W, zero for k <= j+1; Q[j, m] = sum_i W_ji (v_ji -
+    _FAR_CENTRE)^m; cells j >= 1: b_m (m-1)."""
     # numpy.polynomial's leggauss would add ~5 ms to the import
     x = np.cos(np.pi * (np.arange(_NEAR_NODES) + 0.75) / (_NEAR_NODES + 0.5))
     for _ in range(5):
@@ -108,14 +112,15 @@ def _rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # w (1 - x^2) = 2 / P'(x)^2, and q_j(u) = chord^3 (1 - x^2) / 4
     w = 0.5 * chord**4 * u / dp**2
     weights = np.where(gap[..., None] > 0.0, w, 0.0)
-    moments = np.einsum("ji,jim->jm", w, (u * u)[..., None] ** np.arange(_FAR_TERMS))
+    moments = np.einsum("ji,jim->jm", w, (u * u - _FAR_CENTRE)[..., None] ** np.arange(_FAR_TERMS))
     m = np.arange(2.0, _NEAR_TERMS + 2.0)
     binom = 0.125 * np.cumprod(np.concatenate(([1.0], (m[1:] - 1.5) / m[1:])))  # |C(1/2,m)|
     top = np.arange(2.0, CORRECTION_CELLS + 1.0)[:, None]  # j + 1
-    return base, weights, moments, np.sqrt(top) * binom * (m - 1.0) / top**m
+    return np.log(base), weights, moments, np.sqrt(top) * binom * (m - 1.0) / top**m
 
 
-_NEAR_BASE, _NEAR_W, _MOMENTS, _NEAR_SERIES = _rule_tables()
+_NEAR_LOG, _NEAR_W, _MOMENTS, _NEAR_SERIES = _rule_tables()
+_D2_SQRT = np.diff(np.sqrt(np.arange(CORRECTION_CELLS + 2.0)), 2)  # Δ²sqrt(j)
 
 
 def _correction_block(s: float, n: int, h: float) -> np.ndarray:
@@ -127,24 +132,24 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
     parts, C_j(k) = (s-1) int_j^{j+1} (k-v)^(s-2) q_j(v) dv, q_j = sqrt(v) less
     its chord >= 0; the block holds it divided by Δ²sqrt(j) and scaled by
     h^(s-1)/Gamma(s).  One rule makes it (s-1) sum_i W_ji (k-v_ji)^(s-2), a sum
-    of positive terms: direct for j+2 <= k <= _NEAR_K, and past that expanded
-    in 1/k, k^(s-2) sum_m (s-1) C(s-2,m) (-1)^m Q[j,m] k^-m, cut after
-    _FAR_TERMS terms (v/k <= 8/129: the tail is below 2e-17 of the column).
+    of positive terms: direct for j+2 <= k <= _NEAR_K, one exp of the tabulated
+    logs, and past that expanded about c = _FAR_CENTRE in 1/(k-c), (k-c)^(s-2)
+    sum_m (s-1) C(s-2,m) (-1)^m Q[j,m] (k-c)^-m, cut after _FAR_TERMS terms
+    (|v-c|/(k-c) <= 8/129: the tail is below 2e-17 of the column).
 
     At k = j+1 >= 2 the series of sqrt(j+1-t) and q_j(j+1) = 0 give (s-1)/s
     sum_{m>=2} b_m (m-1)/(s+m-1), b_m = sqrt(j+1) |C(1/2,m)| (j+1)^-m.
     sqrt(2v) = sqrt(2) sqrt(v) gives C_0(1) = 2^(1/2-s) [C_0(2) + C_1(2) +
     (2-sqrt(2)) (2^(s-1)-1)/s], three terms of the sign of s-1, where
-    B(1/2,s)/2 - 1/s cancels.  Against 40-digit quadrature: within 3.2e-15
+    B(1/2,s)/2 - 1/s cancels.  Against 40-digit quadrature: within 3.4e-15
     relative for k <= _NEAR_K (adjacent 7.2e-16) and 1.8e-15 past it.
     """
     cells = min(CORRECTION_CELLS, n - 1)
-    r = np.sqrt(np.arange(cells + 2, dtype=float))
-    col_scale = (h ** (s - 1.0) / math.gamma(s)) / np.diff(r, 2)
+    col_scale = (h ** (s - 1.0) / math.gamma(s)) / _D2_SQRT[:cells]
     block = np.zeros((n + 1, cells))
 
     near = min(n, _NEAR_K)
-    cols = (s - 1.0) * np.einsum("kji,kji->kj", _NEAR_BASE ** (s - 2.0), _NEAR_W)
+    cols = (s - 1.0) * np.einsum("kji,kji->kj", np.exp((s - 2.0) * _NEAR_LOG), _NEAR_W)
     adjacent = (s - 1.0) / s * (_NEAR_SERIES @ (1.0 / (s + np.arange(1.0, _NEAR_TERMS + 1.0))))
     tail = (2.0 - math.sqrt(2.0)) * math.expm1((s - 1.0) * math.log(2.0)) / s
     c00 = 2.0 ** (0.5 - s) * (cols[1, 0] + adjacent[0] + tail)
@@ -158,13 +163,13 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
         coef = coef[:, None] * _MOMENTS.T * col_scale
         # chunks keep the (terms, rows) powers in cache and the product small
         for lo in range(near, n, _FAR_CHUNK):
-            k = np.arange(lo + 1, min(lo + _FAR_CHUNK, n) + 1, dtype=float)
-            x = 1.0 / k
-            powers = np.empty((_FAR_TERMS, k.size))
-            powers[0] = k ** (s - 2.0)
+            kc = np.arange(lo + 1 - _FAR_CENTRE, min(lo + _FAR_CHUNK, n) + 1 - _FAR_CENTRE)
+            x = 1.0 / kc
+            powers = np.empty((_FAR_TERMS, kc.size))
+            powers[0] = kc ** (s - 2.0)
             for i in range(1, _FAR_TERMS):
                 np.multiply(powers[i - 1], x, out=powers[i])
-            np.matmul(powers.T, coef, out=block[lo + 1 : lo + 1 + k.size])
+            np.matmul(powers.T, coef, out=block[lo + 1 : lo + 1 + kc.size])
     return block
 
 

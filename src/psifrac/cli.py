@@ -247,7 +247,7 @@ def _cmd_compare(args):
     power = funcs.resolve_spatial(f"power:{args.delta!r}", kernel, args.a)
     n_list = [int(tok) for tok in args.n_list.split(",")]
     lines = ["n,rel_error,observed_order"]
-    prev = None
+    prev = prev_n = None
     for n in n_list:
         grid = TransformedGrid.build(kernel, args.a, args.b, n)
         f = SampledFunction.from_callable(grid, power)
@@ -266,9 +266,12 @@ def _cmd_compare(args):
         # far half of the grid only: next to the base point the data's own
         # cusp dominates any scheme
         err = relative_sup_error(num, ref, skip_base=(n + 1) // 2)
-        order = math.log2(prev / err) if (prev and err > 0) else float("nan")
+        # the slope of log error against log n: log2(e_prev / e) only where n
+        # doubles, and nan where n repeats
+        steps = math.log2(n / prev_n) if prev else 0.0
+        order = math.log2(prev / err) / steps if (steps and err > 0) else float("nan")
         lines.append(f"{n},{_fmt(err)},{_fmt(order)}")
-        prev = err
+        prev, prev_n = err, n
     _write_lines(lines, args.out)
     return 0
 

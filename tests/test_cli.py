@@ -750,6 +750,27 @@ class TestCompareCommand:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert float(rows[-1][2]) >= 1.4
 
+    @pytest.mark.parametrize("n_list,orders", [
+        ("128,512,4096", ["nan", 1.5002, 1.5000]),
+        ("64,64", ["nan", "nan"]),
+        ("512,128", ["nan", 1.5002]),
+    ])
+    def test_order_scales_with_the_step_in_n(self, capsys, n_list, orders):
+        # the order is the slope of log error against log n, whatever the
+        # ratio between successive n; a repeated n has none
+        code, out, _ = run_cli(
+            capsys, "compare", "--op", "integral", "--delta", "1.5",
+            "--mu", "0.5", "--kernel", "identity", "--a", "0", "--b", "1",
+            "--n-list", n_list,
+        )
+        assert code == 0
+        got = [float(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
+        for order, want in zip(got, orders, strict=True):
+            if want == "nan":
+                assert math.isnan(order)
+            else:
+                assert round(order, 4) == want
+
     def test_hilfer_reference(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--op", "hilfer", "--delta", "1.5", "--mu", "0.5",

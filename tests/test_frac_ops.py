@@ -27,6 +27,7 @@ from psifrac._quadrature import (
     CORRECTION_CELLS,
     DiscreteOp,
     _DIRECT_N,
+    _FAR_CENTRE,
     _LEVEL_RATIO,
     _NEAR_K,
     _NEAR_NODES,
@@ -327,8 +328,8 @@ class TestStartCorrection:
         # undo the stored scaling G(s)^-1 / Δ²sqrt(j)
         block *= G(s) * np.diff(np.sqrt(np.arange(CORRECTION_CELLS + 2.0)), 2)
         # every adjacent and every k = j+2 entry, the near field's last row, and
-        # the moment expansion's first rows up to n
-        rows = [*range(1, 11), 64, _NEAR_K, _NEAR_K + 1, 200, 5000, n]
+        # the moment expansion's rows from its first up to n
+        rows = [*range(1, 11), 64, _NEAR_K, _NEAR_K + 1, 128, 129, 200, 5000, n]
         with mpmath.workdps(40):
             sm = mpmath.mpf(s)
             for k in rows:
@@ -347,9 +348,14 @@ class TestStartCorrection:
                         )
                     assert abs(block[k, j] - ref) <= 1e-14 * abs(ref), (k, j)
 
+    def test_far_field_tail_bound(self):
+        # the docstring's 2e-17 tail rests on |v - c| / (k - c) <= 8/129 from
+        # the first expanded row on, v in the cells [0, CORRECTION_CELLS]
+        assert max(_FAR_CENTRE, CORRECTION_CELLS - _FAR_CENTRE) / (_NEAR_K + 1 - _FAR_CENTRE) <= 8 / 129
+
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.999, 1.001, 1.5, 1.95, 2.0])
     def test_far_rows_match_direct_rule(self, s):
-        # past _NEAR_K the block is the near rows' rule expanded in 1/k: it
+        # past _NEAR_K the block is the near rows' rule expanded in 1/(k - c): it
         # must equal (s-1) sum_i W_ji (k - v_ji)^(s-2) summed directly, with
         # W = w 2u q_j(u) du/dx at the Gauss-Legendre nodes u = sqrt(v)
         n = 600

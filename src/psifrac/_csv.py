@@ -1,7 +1,13 @@
-"""CSV text of float64 columns, formatted in numpy exactly as ``'%.17g'``."""
+"""CSV text of float64 columns, formatted in numpy exactly as ``'%.17g'``.
+
+A table is formatted in chunks of 8192 cells by one function, ``_chunk``.
+A table of more than one chunk is split at its middle row, and a second
+thread formats the second half while the calling thread formats the first.
+"""
 
 from __future__ import annotations
 
+import threading
 from functools import cache
 
 import numpy as np
@@ -47,7 +53,7 @@ def _tables():
         t < shown, (t - zeros + 16) % 17, np.where((code == 21) & (t < shown + 5), 19 + t - shown, 27)))))
     pats[..., -1] = 25
     words = (w.view(np.uint32).ravel() for w in (quad, exp, np.frombuffer(b"0,\0\0", np.uint8)))
-    return *words, sig, lead, pats.reshape(-1, 25).astype(np.int32)
+    return *words, sig, lead, pats.reshape(-1, 25).astype(np.intp)
 
 
 def _scaled(a: np.ndarray, k: np.ndarray):
@@ -65,6 +71,45 @@ def _scaled(a: np.ndarray, k: np.ndarray):
     return whole.astype(np.int64) + carry.astype(np.int64), f - carry
 
 
+def _chunk(v: np.ndarray, cols: int) -> str:
+    """The text of ``v``, whole rows of ``cols`` cells flattened row-major."""
+    quad, exp, tail, sig, lead, pats = _tables()
+    fast = (abs(v) >= 1e-270) & (abs(v) < 1e270)
+    a = np.where(fast, abs(v), 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n, f = _scaled(a, k)
+    # k is one off where N is below 10^16 before rounding or 10^17 after
+    shift = (n + (f > 0.5) >= 10**17).astype(np.int64) - (n < 10**16)
+    if shift.any():
+        fix = np.flatnonzero(shift)
+        k[fix] += shift[fix]
+        n[fix], f[fix] = _scaled(a[fix], k[fix])
+    n += f > 0.5
+    slow = (~fast & (v != 0)) | (abs(f - 0.5) < 1e-6) | (n < 10**16) | (n >= 10**17)
+    n[slow | ~fast], k[slow | ~fast] = 0, 0  # all-zero digits: a zero
+    src, digits = np.empty((v.size, 7), np.uint32), np.ones_like(n)
+    for j, group in enumerate(np.divmod(n % 10**16 // 10**8, 10**4) + np.divmod(n % 10**8, 10**4)):
+        src[:, j] = quad[group]
+        np.maximum(digits, sig[group] + 4 * j + 1, out=digits)
+    src[:, 4], src[:, 5], src[:, 6] = lead[n // 10**16 + 10 * np.signbit(v)], exp[k + 300], tail
+    codes = np.where((k >= -4) & (k < 17), k + 4, 21) * 17 + digits - 1
+    flat, out = src.view(np.uint8).ravel(), np.empty((v.size, 25), np.uint8)
+    starts = np.arange(0, 28 * v.size, 28, dtype=np.intp)[:, None]
+    for lo in range(0, v.size, 2048):  # 400 kB of gather indices at a time
+        idx = pats.take(codes[lo : lo + 2048], axis=0)
+        idx += starts[lo : lo + 2048]
+        flat.take(idx, out=out[lo : lo + 2048])
+    out[cols - 1 :: cols, -1] = 10  # '\n' ends a row
+    text = b"".join(("%.17g" % x).encode().ljust(24, b"\0") for x in v[slow].tolist())
+    out[slow, :-1] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    return out[out != 0].tobytes().decode("ascii")
+
+
+def _texts(table: np.ndarray, lo: int, hi: int, step: int) -> list[str]:
+    """The texts of rows lo .. hi-1, ``step`` rows per chunk."""
+    return [_chunk(table[i : min(i + step, hi)].ravel(), table.shape[1]) for i in range(lo, hi, step)]
+
+
 def csv_text(header: str, *columns) -> str:
     """``header``, then one line per row of the equal-length ``columns``,
     each float64 cell as ``'%.17g' % v``, comma-separated, LF-ended.
@@ -74,36 +119,35 @@ def csv_text(header: str, *columns) -> str:
     where N is not in [10^16, 10^17), and N rounds half-even.  A zero has
     all-zero digits.  A cell whose N lies within 1e-6 of a tie, an infinity,
     NaN, subnormal or any cell outside that range is formatted by
-    ``'%.17g' % v`` on its own.  Chunks of 8192 cells stay in cache.
+    ``'%.17g' % v`` on its own.  Chunks of 8192 cells stay in cache, and
+    their byte patterns are gathered 2048 cells at a time with ``np.intp``
+    indices, which ``take`` uses without a copy.
+
+    A table of more than one chunk is formatted on two threads, whose numpy
+    loops release the GIL: one more thread formats rows ceil(rows/2) on
+    while the calling thread formats the rows before them, and the two
+    texts are joined in order.  The thread has ended before this returns or
+    raises, and an exception raised on it is raised here.
     """
-    quad, exp, tail, sig, lead, pats = _tables()
-    table, parts = np.asarray(np.broadcast_arrays(*columns), np.float64).T, [header + "\n"]
-    step = max(1, 8192 // table.shape[1])
-    for lo in range(0, table.shape[0], step):
-        v = table[lo : lo + step].ravel()
-        fast = (abs(v) >= 1e-270) & (abs(v) < 1e270)
-        a = np.where(fast, abs(v), 1.0)
-        k = np.floor(np.log10(a)).astype(np.int64)
-        n, f = _scaled(a, k)
-        # k is one off where N is below 10^16 before rounding or 10^17 after
-        shift = (n + (f > 0.5) >= 10**17).astype(np.int64) - (n < 10**16)
-        if shift.any():
-            fix = np.flatnonzero(shift)
-            k[fix] += shift[fix]
-            n[fix], f[fix] = _scaled(a[fix], k[fix])
-        n += f > 0.5
-        slow = (~fast & (v != 0)) | (abs(f - 0.5) < 1e-6) | (n < 10**16) | (n >= 10**17)
-        n[slow | ~fast], k[slow | ~fast] = 0, 0  # all-zero digits: a zero
-        src, digits = np.empty((v.size, 7), np.uint32), np.ones_like(n)
-        for j, group in enumerate(np.divmod(n % 10**16 // 10**8, 10**4) + np.divmod(n % 10**8, 10**4)):
-            src[:, j] = quad[group]
-            np.maximum(digits, sig[group] + 4 * j + 1, out=digits)
-        src[:, 4], src[:, 5], src[:, 6] = lead[n // 10**16 + 10 * np.signbit(v)], exp[k + 300], tail
-        idx = pats.take(np.where((k >= -4) & (k < 17), k + 4, 21) * 17 + digits - 1, axis=0)
-        idx += np.arange(0, 28 * v.size, 28, dtype=np.int32)[:, None]
-        out = src.view(np.uint8).ravel().take(idx)
-        out[table.shape[1] - 1 :: table.shape[1], -1] = 10  # '\n' ends a row
-        text = b"".join(("%.17g" % x).encode().ljust(24, b"\0") for x in v[slow].tolist())
-        out[slow, :-1] = np.frombuffer(text, np.uint8).reshape(-1, 24)
-        parts.append(out[out != 0].tobytes().decode("ascii"))
-    return "".join(parts)
+    _tables()  # built once, before a second thread can ask for them
+    table = np.asarray(np.broadcast_arrays(*columns), np.float64).T
+    rows, step = table.shape[0], max(1, 8192 // table.shape[1])
+    if rows <= step:
+        return "".join([header + "\n", *_texts(table, 0, rows, step)])
+    mid, second = (rows + 1) // 2, []  # the slot for the thread's texts or exception
+
+    def work():
+        try:
+            second.append(_texts(table, mid, rows, step))
+        except BaseException as exc:  # a lost exception would cut the text short
+            second.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        first = _texts(table, 0, mid, step)
+    finally:
+        worker.join()
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    return "".join([header + "\n", *first, *second[0]])

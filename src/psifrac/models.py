@@ -54,11 +54,18 @@ class MalthusSpec:
 def malthus_solution(spec: MalthusSpec, t):
     """N(t) = N0 * E_mu(lambda (psi(t) - psi(0))^mu), for a float or an
     array of times, evaluated as one array.  A growth curve whose series
-    overflows float64 raises MLConvergenceError."""
+    overflows float64 raises MLConvergenceError, and one where N0 times the
+    series overflows raises ValueError at the first such t."""
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= spec.horizon)):
         raise ValueError(f"t must lie in [0, {spec.horizon:g}]")
-    return spec.n0 * _ml_power(spec.p.mu, spec.lam, _z(spec.kernel, 0.0, t))
+    e = _ml_power(spec.p.mu, spec.lam, _z(spec.kernel, 0.0, t))
+    with np.errstate(over="ignore"):
+        n = spec.n0 * e
+    bad = np.flatnonzero(~np.isfinite(n))
+    if bad.size:
+        raise ValueError(f"N0 * E_mu overflows float64 at t = {np.ravel(t)[bad[0]]:g}")
+    return n
 
 
 def malthus_curve(spec: MalthusSpec, steps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -360,6 +360,18 @@ class TestInputRules:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("which", ["power-int", "power-hilfer", "power-psifrac"])
+    def test_oracle_power_overflow_is_one_error_line(self, capsys, which):
+        # z^e past float64 once printed inf after a numpy warning and exited 0
+        code, out, err = run_cli(capsys, "oracle", "--which", which, "--x", "1e300", "--delta", "3")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "overflows float64 at z = 1e+300" in err
+
+    def test_oracle_power_zero_exponent_at_large_x(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--which", "power-int", "--x", "1e300", "--delta", "0.5")
+        assert (code, out, err) == (0, "1.7724538509055159\n", "")
+
     def test_zero_rate_ml_past_overflow_is_one(self, capsys):
         # E_mu(0 z^mu) = 1 even where z^mu overflows; 0 * inf once gave NaN
         argv = ("op", "--kind", "integral", "--b", "5")
@@ -672,6 +684,17 @@ class TestMalthusCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_population_overflow_is_one_error_line(self, capsys):
+        # N0 * E_mu past float64 once printed rows of inf after a numpy warning
+        argv = ("malthus", "--n0", "1e308", "--t-max", "2", "--steps", "4")
+        code, out, err = run_cli(capsys, *argv, "--lambda", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: N0 * E_mu overflows float64 at t = 0.5\n"
+        code, out, err = run_cli(capsys, *argv, "--lambda", "-5")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 5 and all(math.isfinite(float(n)) for _, n in rows)
 
     def test_negative_steps_is_one_error_line(self, capsys):
         # once printed a bare header and exited 0

@@ -58,6 +58,14 @@ class TestPowerIntegral:
             PowerFunctionSpec(math.inf, unit_kernel, 0.0)
 
 
+    def test_overflow_raises_at_the_first_point(self):
+        # z^(mu + delta - 1) past float64 once came back as inf with a warning
+        spec = PowerFunctionSpec(3.0, make_builtin("identity", (), (0.0, 1e301)), 0.0)
+        with pytest.raises(ValueError, match=r"overflows float64 at z = 1e\+200$"):
+            power_integral(spec, 0.5, np.array([1.0, 1e200, 1e300]))
+        assert power_integral(PowerFunctionSpec(0.5, spec.kernel, 0.0), 0.5, 1e300) == math.sqrt(math.pi)
+
+
 class TestPowerHilferDerivative:
     def test_midpoint_values(self, unit_kernel):
         spec = PowerFunctionSpec(1.5, unit_kernel, 0.0)
@@ -83,6 +91,13 @@ class TestPowerHilferDerivative:
             power_hilfer_derivative(spec, FracParams(mu, 0.5), x) for x in (0.5, 1.0, 3.0)
         ]
         assert all(v == pytest.approx(G(mu + 1.0), rel=1e-14) for v in vals)
+
+    def test_negative_exponent_overflow_raises(self, unit_kernel):
+        # z^(delta - mu - 1) = z^-1.3 near the base passes float64
+        spec = PowerFunctionSpec(0.2, unit_kernel, 0.0)
+        with pytest.raises(ValueError, match=r"overflows float64 at z = 1e-300$"):
+            power_hilfer_derivative(spec, FracParams(0.5, 0.5), 1e-300)
+        assert power_hilfer_derivative(spec, FracParams(0.5, 0.5), 0.0) == 0.0
 
     @pytest.mark.parametrize("delta,mu", [(0.5, 0.5), (1.0, 1.0)])
     def test_pole_reported(self, unit_kernel, delta, mu):

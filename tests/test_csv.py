@@ -3,6 +3,8 @@ every command that emits data columns against the per-row text of the same
 arrays computed from the library."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from psifrac import (
     psi_integral_order1,
     psi_rl_derivative,
 )
-from psifrac import cli, funcs, models
+from psifrac import _csv, cli, funcs, models
 from psifrac._csv import csv_text
 
 
@@ -104,6 +106,68 @@ class TestCells:
 
     def test_empty_columns_give_the_header(self):
         assert csv_text("x,value", np.array([]), np.array([])) == "x,value\n"
+
+
+class TestTwoThreadSplit:
+    """A table of more than one chunk: rows ceil(rows/2) on are formatted on
+    a second thread, the rows before them on the calling thread."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 7])
+    @pytest.mark.parametrize("chunks", [(1, 0), (1, 1), (2, -1), (2, 1), (3, 5)])
+    def test_same_bytes_around_the_split(self, cols, chunks):
+        step = 8192 // cols
+        rows = chunks[0] * step + chunks[1]
+        mid = (rows + 1) // 2
+        rng = np.random.default_rng(rows + cols)
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows) for _ in range(cols)]
+        special = (math.nan, -math.inf, 1000000000000000.75)
+        for j, c in enumerate(columns):
+            for i, r in enumerate((mid - 1, mid, rows - 1)):
+                c[r] = special[(i + j) % 3]
+        assert_same_text(csv_text("h", *columns), per_row("h", *columns))
+
+    def test_concurrent_callers(self):
+        # more callers than cores, each splitting its own table, with thread
+        # switches forced often; every text must still be its own
+        tables = [np.random.default_rng(i).standard_normal((3, 2 * 4096 + i)) for i in range(4)]
+        got = [None] * len(tables)
+
+        def call(i):
+            got[i] = csv_text("a,b,c", *tables[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(tables))]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        for text, table in zip(got, tables):
+            assert_same_text(text, per_row("a,b,c", *table))
+
+    @pytest.mark.parametrize("raise_at", ["first", "second"])
+    def test_exception_reaches_the_caller_and_the_thread_ends(self, monkeypatch, raise_at):
+        rows = 2 * 8192 + 1
+        first_row = {"first": 0, "second": (rows + 1) // 2}[raise_at]
+        chunk = _csv._chunk
+
+        def failing(v, cols):
+            if v[0] == first_row:
+                raise RuntimeWarning(f"chunk at row {first_row}")
+            return chunk(v, cols)
+
+        values = np.arange(rows, dtype=float)
+        before = threading.active_count()
+        assert csv_text("v", values) == per_row("v", values)
+        assert threading.active_count() == before
+        monkeypatch.setattr(_csv, "_chunk", failing)
+        with pytest.raises(RuntimeWarning, match=f"^chunk at row {first_row}$"):
+            csv_text("v", values)
+        assert threading.active_count() == before
 
 
 def run_cli(capsys, *argv):

@@ -98,6 +98,17 @@ class TestSolution:
                 make_spec(horizon=2.0, kernel=make_builtin("identity", (), domain))
 
 
+    def test_population_overflow_raises(self):
+        # the series is finite; only N0 times it passes float64
+        spec = make_spec(n0=1e308, lam=5.0)
+        with pytest.raises(ValueError, match=r"^N0 \* E_mu overflows float64 at t = 0\.5$"):
+            malthus_solution(spec, np.array([0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="at t = 2$"):
+            malthus_solution(spec, 2.0)
+        assert malthus_solution(spec, 0.0) == 1e308
+        assert np.all(np.isfinite(malthus_curve(make_spec(n0=1e308, lam=-5.0), 4)[1]))
+
+
 class TestCurve:
     def test_shape_and_start(self):
         spec = make_spec()

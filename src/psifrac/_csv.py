@@ -132,7 +132,8 @@ def csv_text(header: str, *columns) -> str:
     _tables()  # built once, before a second thread can ask for them
     table = np.asarray(np.broadcast_arrays(*columns), np.float64).T
     rows, step = table.shape[0], max(1, 8192 // table.shape[1])
-    if rows <= step:
+    if rows <= step:  # a thread costs more than it saves (2-core host: 11 rows
+        # take 0.2 ms on one thread, 0.8 ms on two; 4096 rows 2.8 and 3.3 ms)
         return "".join([header + "\n", *_texts(table, 0, rows, step)])
     mid, second = (rows + 1) // 2, []  # the slot for the thread's texts or exception
 

@@ -126,6 +126,23 @@ class TestTwoThreadSplit:
                 c[r] = special[(i + j) % 3]
         assert_same_text(csv_text("h", *columns), per_row("h", *columns))
 
+    @pytest.mark.parametrize("cols", [1, 2, 7])
+    def test_one_chunk_starts_no_thread(self, monkeypatch, cols):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(_csv.threading, "Thread", Counted)
+        step = 8192 // cols
+        for rows in (0, 1, step):
+            csv_text("h", *np.ones((cols, rows)))
+        assert started == []
+        csv_text("h", *np.ones((cols, step + 1)))
+        assert len(started) == 1
+
     def test_concurrent_callers(self):
         # more callers than cores, each splitting its own table, with thread
         # switches forced often; every text must still be its own

@@ -65,7 +65,7 @@ _NEAR_TERMS = 48
 _FAR_CENTRE = CORRECTION_CELLS / 2
 # v^m q_j has degree 2m + 3 in u, so the rule integrates m <= _NEAR_NODES - 2
 _FAR_TERMS = _NEAR_NODES - 1
-_FAR_CHUNK = 2048
+_FAR_CHUNK = 4096
 
 
 def _pwconst_kernel(s: float, n: int) -> np.ndarray:
@@ -146,7 +146,9 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
     """
     cells = min(CORRECTION_CELLS, n - 1)
     col_scale = (h ** (s - 1.0) / math.gamma(s)) / _D2_SQRT[:cells]
-    block = np.zeros((n + 1, cells))
+    # the near and far passes write every row but node 0's
+    block = np.empty((n + 1, cells))
+    block[0] = 0.0
 
     near = min(n, _NEAR_K)
     cols = (s - 1.0) * np.einsum("kji,kji->kj", np.exp((s - 2.0) * _NEAR_LOG), _NEAR_W)
@@ -161,12 +163,15 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
         # (s-1) C(s-2,m) (-1)^m = (s-1) prod_{i<=m} (i+1-s)/i
         coef = np.cumprod(np.concatenate(([s - 1.0], (m + 1.0 - s) / m)))
         coef = coef[:, None] * _MOMENTS.T * col_scale
-        # chunks keep the (terms, rows) powers in cache and the product small
+        # one (terms, rows) scratch per build, reused by every chunk: two
+        # 240 KiB powers arrays freed per n = 4096 build made glibc trim the
+        # heap and fault the pages back in on the next build
+        scratch = np.empty((_FAR_TERMS, min(n - near, _FAR_CHUNK)))
         for lo in range(near, n, _FAR_CHUNK):
             kc = np.arange(lo + 1 - _FAR_CENTRE, min(lo + _FAR_CHUNK, n) + 1 - _FAR_CENTRE)
             x = 1.0 / kc
-            powers = np.empty((_FAR_TERMS, kc.size))
-            powers[0] = kc ** (s - 2.0)
+            powers = scratch[:, : kc.size]
+            np.power(kc, s - 2.0, out=powers[0])
             for i in range(1, _FAR_TERMS):
                 np.multiply(powers[i - 1], x, out=powers[i])
             np.matmul(powers.T, coef, out=block[lo + 1 : lo + 1 + kc.size])

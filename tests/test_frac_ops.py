@@ -22,12 +22,14 @@ from psifrac import (
     psi_rl_derivative,
     relative_sup_error,
 )
+from psifrac import _quadrature
 from psifrac._csv import csv_text
 from psifrac._quadrature import (
     CORRECTION_CELLS,
     DiscreteOp,
     _DIRECT_N,
     _FAR_CENTRE,
+    _FAR_CHUNK,
     _LEVEL_RATIO,
     _NEAR_K,
     _NEAR_NODES,
@@ -357,19 +359,42 @@ class TestStartCorrection:
     def test_far_rows_match_direct_rule(self, s):
         # past _NEAR_K the block is the near rows' rule expanded in 1/(k - c): it
         # must equal (s-1) sum_i W_ji (k - v_ji)^(s-2) summed directly, with
-        # W = w 2u q_j(u) du/dx at the Gauss-Legendre nodes u = sqrt(v)
-        n = 600
-        block = _correction_block(s, n, 1.0)
-        block *= G(s) * np.diff(np.sqrt(np.arange(CORRECTION_CELLS + 2.0)), 2)
+        # W = w 2u q_j(u) du/dx at the Gauss-Legendre nodes u = sqrt(v); one
+        # chunk at n = 600, and a full chunk then a one-row chunk at the other
+        # n, so the rows on both sides of the chunk edge are gated
         x, w = np.polynomial.legendre.leggauss(_NEAR_NODES)
-        k = np.arange(_NEAR_K + 1.0, n + 1.0)[:, None]
-        for j in range(CORRECTION_CELLS):
-            chord = 1.0 / (math.sqrt(j + 1) + math.sqrt(j))
-            u = math.sqrt(j) + 0.5 * chord * (1.0 + x)
-            # q_j(u) = chord^3 (1 - x^2) / 4, du/dx = chord / 2
-            weights = w * u * chord**4 * (1.0 - x) * (1.0 + x) / 4.0
-            ref = (s - 1.0) * ((k - u * u) ** (s - 2.0) @ weights)
-            assert np.all(np.abs(block[_NEAR_K + 1:, j] - ref) <= 2e-15 * np.abs(ref)), j
+        for n in (600, _NEAR_K + _FAR_CHUNK + 1):
+            block = _correction_block(s, n, 1.0)
+            block *= G(s) * np.diff(np.sqrt(np.arange(CORRECTION_CELLS + 2.0)), 2)
+            k = np.arange(_NEAR_K + 1.0, n + 1.0)[:, None]
+            for j in range(CORRECTION_CELLS):
+                chord = 1.0 / (math.sqrt(j + 1) + math.sqrt(j))
+                u = math.sqrt(j) + 0.5 * chord * (1.0 + x)
+                # q_j(u) = chord^3 (1 - x^2) / 4, du/dx = chord / 2
+                weights = w * u * chord**4 * (1.0 - x) * (1.0 + x) / 4.0
+                ref = (s - 1.0) * ((k - u * u) ** (s - 2.0) @ weights)
+                assert np.all(np.abs(block[_NEAR_K + 1:, j] - ref) <= 2e-15 * np.abs(ref)), (n, j)
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.999, 1.001, 1.5, 1.95, 2.0])
+    def test_every_entry_written_and_rows_independent_of_n(self, s):
+        # the block starts uninitialised and the far rows share one scratch
+        # across chunks: an entry left unwritten or a power carried over from
+        # the previous chunk shows as a non-finite entry, a nonzero entry at
+        # k <= j, or a row that differs from the same row of a longer block
+        # built in one pass.  A row's product may round one ulp apart between
+        # the two (a one-row chunk is a matrix-vector product), hence 4e-16
+        sizes = [*range(2, 12), *range(67, 71), _NEAR_K + _FAR_CHUNK - 1, _NEAR_K + _FAR_CHUNK,
+                 _NEAR_K + _FAR_CHUNK + 1, _NEAR_K + 2 * _FAR_CHUNK + 1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_quadrature, "_FAR_CHUNK", 3 * _FAR_CHUNK)
+            longer = _correction_block(s, 3 * _FAR_CHUNK, 1.0)
+        for n in sizes:
+            block = _correction_block(s, n, 1.0)
+            assert np.all(np.isfinite(block)), n
+            k, j = np.indices(block.shape)
+            assert np.all(block[k <= j] == 0.0) and np.all(block[0] == 0.0), n
+            ref = longer[: n + 1, : block.shape[1]]
+            assert np.all(np.abs(block - ref) <= 4e-16 * np.abs(ref)), n
 
 
 def _rounding_scale(values, s, n):

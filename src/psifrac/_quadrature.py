@@ -189,9 +189,12 @@ class DiscreteOp:
         self.n, self.h = n, h
         self._table = _pwconst_kernel(s, n)
         try:
-            self._scale = float(h) ** s / math.gamma(s + 1.0)
+            hs = float(h) ** s
+            self._scale = hs / math.gamma(s + 1.0)
         except OverflowError:
             raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
+        if hs == 0.0:
+            raise ValueError(f"operator scale h^s underflows at h = {h:g}, s = {s:g}")
         # each FFT level and its table transform
         self._levels = [(lo, hi, size, np.fft.rfft(self._table[1 : hi + 1], size))
                         for lo, hi, size in _levels(n)]

@@ -90,6 +90,25 @@ def _add_common(sub, kernel=True, interval=True, frac=True, grid=False):
         sub.add_argument("--n", type=int, default=1024)
 
 
+# operator kind -> its values on sampled data f for the parsed args and a side;
+# only the two-parameter kinds build (and so check) FracParams
+_OPERATORS = {
+    "integral": lambda f, args, side: psi_integral(f, args.mu, side),
+    "integral1": lambda f, args, side: psi_integral_order1(f, side),
+    "rl-deriv": lambda f, args, side: psi_rl_derivative(f, args.mu, side),
+    "hilfer": lambda f, args, side: psi_hilfer_derivative(f, FracParams(args.mu, args.nu), side),
+    "psi-frac": lambda f, args, side: psi_frac_integral(f, FracParams(args.mu, args.nu), side),
+}
+
+# oracle name -> the operator kind ``compare`` checks against it, and the
+# closed form on power data from a PowerFunctionSpec, FracParams and x
+_POWER_FORMS = {
+    "power-int": ("integral", lambda spec, p, x: closed_forms.power_integral(spec, p.mu, x)),
+    "power-hilfer": ("hilfer", closed_forms.power_hilfer_derivative),
+    "power-psifrac": ("psi-frac", closed_forms.power_psi_frac_integral),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psifrac",
@@ -99,10 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser._psifrac_subs = subs.choices
 
     p = subs.add_parser("kernel", help="validate a kernel on a sample sweep")
+    p.set_defaults(run=_cmd_kernel)
     _add_common(p, frac=False)
     p.add_argument("--samples", type=int, default=1000)
 
     p = subs.add_parser("ml", help="evaluate the Mittag-Leffler function")
+    p.set_defaults(run=_cmd_ml)
     _add_common(p, kernel=False, interval=False, frac=False)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=1.0)
@@ -111,22 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-terms", type=int, default=2000)
 
     p = subs.add_parser("op", help="apply an operator, emit CSV x,value")
+    p.set_defaults(run=_cmd_op)
     _add_common(p, grid=True)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=("integral", "integral1", "rl-deriv", "hilfer", "psi-frac"),
-    )
+    p.add_argument("--kind", required=True, choices=tuple(_OPERATORS))
     p.add_argument("--f", default="one", help="function id (see README)")
     p.add_argument("--side", default="left", choices=("left", "right"))
 
     p = subs.add_parser("oracle", help="closed-form value at one point")
+    p.set_defaults(run=_cmd_oracle)
     _add_common(p, interval=False)
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=("power-int", "power-hilfer", "power-psifrac", "ml-eigen", "ml-psifrac"),
-    )
+    p.add_argument("--which", required=True, choices=(*_POWER_FORMS, "ml-eigen", "ml-psifrac"))
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--delta", type=float, default=1.5)
@@ -135,8 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "compare", help="oracle-vs-numeric sweep, CSV n,rel_error,observed_order"
     )
+    p.set_defaults(run=_cmd_compare)
     _add_common(p)
-    p.add_argument("--op", dest="opkind", required=True, choices=("integral", "hilfer", "psi-frac"))
+    kinds = tuple(kind for kind, _ in _POWER_FORMS.values())
+    p.add_argument("--op", dest="opkind", required=True, choices=kinds)
     p.add_argument("--delta", type=float, default=1.5)
     p.add_argument("--n-list", default="128,256,512,1024,2048")
     p.add_argument(
@@ -147,9 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = subs.add_parser("bounds", help="print the constants s, K, A")
+    p.set_defaults(run=_cmd_bounds)
     _add_common(p)
 
     p = subs.add_parser("volterra", help="Picard solve, CSV x,value (+ iteration log)")
+    p.set_defaults(run=_cmd_volterra)
     _add_common(p, grid=True)
     p.add_argument("--phi", default="one")
     p.add_argument("--w", default="zero", help="integrand id acting on the state")
@@ -158,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", default=None, help="iteration log path (default: stderr)")
 
     p = subs.add_parser("malthus", help="population curve, CSV t,N")
+    p.set_defaults(run=_cmd_malthus)
     _add_common(p, interval=False, frac=False)
     p.add_argument("--n0", type=float, default=100.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.3)
@@ -167,10 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
 
     p = subs.add_parser("figures", help="figure curve data as CSV files")
+    p.set_defaults(run=_cmd_figures)
     p.add_argument("--config", default=None)
     p.add_argument("--out-dir", required=True)
 
     p = subs.add_parser("probe", help="limit probes of the composed integral")
+    p.set_defaults(run=_cmd_probe)
     _add_common(p, frac=False, grid=True)
     p.add_argument("--regime", required=True, choices=("mu_to_1", "identity"))
     p.add_argument("--f", default="one")
@@ -207,16 +229,7 @@ def _cmd_ml(args):
 
 def _cmd_op(args):
     f = _sampled(args)
-    if args.kind == "integral":
-        out = psi_integral(f, args.mu, args.side)
-    elif args.kind == "integral1":
-        out = psi_integral_order1(f, args.side)
-    elif args.kind == "rl-deriv":
-        out = psi_rl_derivative(f, args.mu, args.side)
-    elif args.kind == "hilfer":
-        out = psi_hilfer_derivative(f, FracParams(args.mu, args.nu), args.side)
-    else:
-        out = psi_frac_integral(f, FracParams(args.mu, args.nu), args.side)
+    out = _OPERATORS[args.kind](f, args, args.side)
     _write_lines(csv_text("x,value", f.grid.x_nodes, out.values), args.out)
     return 0
 
@@ -224,18 +237,13 @@ def _cmd_op(args):
 def _cmd_oracle(args):
     kernel = kernel_from_id(args.kernel, (args.a, max(args.a, args.x) + 1e-9))
     p = FracParams(args.mu, args.nu)
-    if args.which == "ml-eigen":
+    if args.which in _POWER_FORMS:
+        _, form = _POWER_FORMS[args.which]
+        value = form(closed_forms.PowerFunctionSpec(args.delta, kernel, args.a), p, args.x)
+    elif args.which == "ml-eigen":
         value = closed_forms.ml_hilfer_eigen(args.lam, p, kernel, args.a, args.x)
-    elif args.which == "ml-psifrac":
-        value = closed_forms.ml_psi_frac_integral(p, kernel, args.a, args.x)
     else:
-        spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
-        if args.which == "power-int":
-            value = closed_forms.power_integral(spec, args.mu, args.x)
-        elif args.which == "power-hilfer":
-            value = closed_forms.power_hilfer_derivative(spec, p, args.x)
-        else:
-            value = closed_forms.power_psi_frac_integral(spec, p, args.x)
+        value = closed_forms.ml_psi_frac_integral(p, kernel, args.a, args.x)
     _write_lines([_fmt(float(value))], args.out)
     return 0
 
@@ -246,23 +254,17 @@ def _cmd_compare(args):
     spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
     power = funcs.resolve_spatial(f"power:{args.delta!r}", kernel, args.a)
     n_list = [int(tok) for tok in args.n_list.split(",")]
+    which = next(w for w, (kind, _) in _POWER_FORMS.items() if kind == args.opkind)
+    if args.opkind == "psi-frac" and args.reference == "composed":
+        which = "power-int"
+    _, form = _POWER_FORMS[which]
     lines = ["n,rel_error,observed_order"]
     prev = prev_n = None
     for n in n_list:
         grid = TransformedGrid.build(kernel, args.a, args.b, n)
         f = SampledFunction.from_callable(grid, power)
-        if args.opkind == "integral":
-            num = psi_integral(f, args.mu)
-            ref = closed_forms.power_integral(spec, args.mu, grid.x_nodes)
-        elif args.opkind == "hilfer":
-            num = psi_hilfer_derivative(f, p)
-            ref = closed_forms.power_hilfer_derivative(spec, p, grid.x_nodes)
-        else:
-            num = psi_frac_integral(f, p)
-            if args.reference == "lemma":
-                ref = closed_forms.power_psi_frac_integral(spec, p, grid.x_nodes)
-            else:
-                ref = closed_forms.power_integral(spec, args.mu, grid.x_nodes)
+        num = _OPERATORS[args.opkind](f, args, "left")
+        ref = form(spec, p, grid.x_nodes)
         # far half of the grid only: next to the base point the data's own
         # cusp dominates any scheme
         err = relative_sup_error(num, ref, skip_base=(n + 1) // 2)
@@ -382,20 +384,6 @@ def _cmd_probe(args):
     return 0 if report.monotone else 1
 
 
-_COMMANDS = {
-    "kernel": _cmd_kernel,
-    "ml": _cmd_ml,
-    "op": _cmd_op,
-    "oracle": _cmd_oracle,
-    "compare": _cmd_compare,
-    "bounds": _cmd_bounds,
-    "volterra": _cmd_volterra,
-    "malthus": _cmd_malthus,
-    "figures": _cmd_figures,
-    "probe": _cmd_probe,
-}
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The full parser and the ``--config`` pre-parser, built once and shared
@@ -416,7 +404,7 @@ def main(argv=None) -> int:
             tokens = _config_tokens(config, parser._psifrac_subs[argv[0]])
             argv = argv[:1] + tokens + argv[1:]
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (PsifracError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

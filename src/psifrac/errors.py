@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PsifracError",
+    "KernelError",
+    "GammaPoleError",
+    "MLConvergenceError",
+    "MLDivergenceError",
+    "ResolutionError",
+    "DivergenceError",
+]
+
 
 class PsifracError(Exception):
     """Base class for all package-specific errors."""

@@ -46,9 +46,12 @@ class TransformedGrid:
         if n < 1:
             raise ValueError("need at least one subinterval")
         tau = np.linspace(float(kernel.eval(a)), float(kernel.eval(b)), n + 1)
-        x = np.asarray(kernel.inverse(tau), dtype=float)
+        # psi may underflow to 0 at a, where an inverse such as log warns; the
+        # ends are pinned and a non-finite interior node fails the check below
+        with np.errstate(all="ignore"):
+            x = np.asarray(kernel.inverse(tau), dtype=float)
         x[0], x[-1] = a, b  # pin the endpoints against inverse round-off
-        if np.any(np.diff(x) <= 0):
+        if not np.all(np.diff(x) > 0):
             raise ValueError(f"kernel {kernel.name!r} produced non-increasing x nodes")
         return cls(kernel, a, b, n, _frozen(tau), _frozen(x))
 

@@ -175,6 +175,7 @@ DERIV_RTOL = 1e-6
 INVERSE_RTOL = 1e-10
 
 
+@np.errstate(all="ignore")  # a map's inf or NaN is a finding of the report
 def validate(kernel: PsiKernel, n_samples: int) -> KernelReport:
     """Check monotonicity, the derivative and the inverse on a sample sweep.
 

@@ -59,9 +59,12 @@ def _span(kernel: PsiKernel, a: float, b: float, e: float) -> float:
     if not dz > 0:
         raise ValueError("need b > a inside the kernel domain")
     try:
-        return dz**e
+        span = dz**e
     except OverflowError:
         raise ValueError(f"(psi(b) - psi(a))^{e:g} overflows at psi(b) - psi(a) = {dz:g}") from None
+    if span == 0.0:
+        raise ValueError(f"(psi(b) - psi(a))^{e:g} underflows at psi(b) - psi(a) = {dz:g}")
+    return span
 
 
 def bound_constant_s(p: FracParams, kernel: PsiKernel, a: float, b: float) -> float:

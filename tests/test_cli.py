@@ -15,8 +15,11 @@ from psifrac import (
     TransformedGrid,
     closed_forms,
     kernel_from_id,
+    psi_frac_integral,
     psi_hilfer_derivative,
+    psi_integral,
     psi_integral_order1,
+    psi_rl_derivative,
 )
 from psifrac._csv import csv_text
 from psifrac.cli import _fmt, build_parser, main
@@ -97,7 +100,7 @@ class TestBasicCommands:
         # value at x = 1 is 1/Gamma(0.5) rendered with 17 significant digits
         assert lines[-1].split(",")[1] == "0.56418958354775628"
 
-    @pytest.mark.parametrize("kind", ["integral1", "hilfer"])
+    @pytest.mark.parametrize("kind", ["integral", "integral1", "rl-deriv", "hilfer", "psi-frac"])
     def test_op_kind_matches_api(self, capsys, kind):
         code, out, _ = run_cli(
             capsys, "op", "--kind", kind, "--mu", "0.3", "--nu", "0.6",
@@ -108,10 +111,13 @@ class TestBasicCommands:
         kernel = kernel_from_id("sqrt_shift:1", (0.0, 2.0))
         grid = TransformedGrid.build(kernel, 0.0, 2.0, 64)
         f = SampledFunction.from_callable(grid, resolve_spatial("ml:0.5", kernel, 0.0))
-        if kind == "integral1":
-            ref = psi_integral_order1(f)
-        else:
-            ref = psi_hilfer_derivative(f, FracParams(0.3, 0.6))
+        ref = {
+            "integral": lambda: psi_integral(f, 0.3),
+            "integral1": lambda: psi_integral_order1(f),
+            "rl-deriv": lambda: psi_rl_derivative(f, 0.3),
+            "hilfer": lambda: psi_hilfer_derivative(f, FracParams(0.3, 0.6)),
+            "psi-frac": lambda: psi_frac_integral(f, FracParams(0.3, 0.6)),
+        }[kind]()
         rows = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid.x_nodes, ref.values)]
         assert out.splitlines() == ["x,value"] + rows
 
@@ -124,7 +130,7 @@ class TestBasicCommands:
         assert path.read_text(encoding="utf-8") == ref
 
     @pytest.mark.parametrize(
-        "which", ["power-int", "power-hilfer", "ml-eigen", "ml-psifrac"]
+        "which", ["power-int", "power-hilfer", "power-psifrac", "ml-eigen", "ml-psifrac"]
     )
     def test_oracle_matches_closed_form(self, capsys, which):
         code, out, _ = run_cli(
@@ -139,6 +145,7 @@ class TestBasicCommands:
         value = {
             "power-int": lambda: closed_forms.power_integral(spec, 0.4, 1.5),
             "power-hilfer": lambda: closed_forms.power_hilfer_derivative(spec, p, 1.5),
+            "power-psifrac": lambda: closed_forms.power_psi_frac_integral(spec, p, 1.5),
             "ml-eigen": lambda: closed_forms.ml_hilfer_eigen(0.7, p, kernel, 0.0, 1.5),
             "ml-psifrac": lambda: closed_forms.ml_psi_frac_integral(p, kernel, 0.0, 1.5),
         }[which]()
@@ -253,6 +260,43 @@ class TestInputRules:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("op", "--kind", "integral", "--mu", "0.5", "--n", "16", "--b", "1e-300",
+              "--f", "power:1.5"),
+             "operator scale h^s underflows at h = 6.25e-302, s = 1.5"),
+            (("volterra", "--b", "1e-300", "--n", "16"),
+             "operator scale h^s underflows at h = 6.25e-302, s = 1.5"),
+            (("bounds", "--mu", "0.5", "--b", "1e-250"),
+             "(psi(b) - psi(a))^1.5 underflows at psi(b) - psi(a) = 1e-250"),
+        ],
+        ids=["op-scale", "volterra-scale", "bounds-span"],
+    )
+    def test_underflow_is_one_error_line(self, capsys, argv, message):
+        # h^s = 0 once printed a column of 0 (the exact values are about
+        # 1e-300) and returned phi as the Volterra solution; a span power of 0
+        # ended in a ZeroDivisionError traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,code,line",
+        [
+            (("kernel", "--kernel", "exp", "--a", "-800", "--b", "1"), 1, "monotonicity,68,0"),
+            (("op", "--kind", "integral", "--kernel", "exp", "--a", "-800", "--b", "0",
+              "--n", "8"), 0, "-800,0"),
+        ],
+        ids=["kernel", "op"],
+    )
+    def test_psi_underflow_at_start_prints_no_warning(self, capsys, argv, code, line):
+        # psi(-800) = 0, whose log in the inverse once printed a numpy divide
+        # warning; the warnings filter is "error"
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, err) == (code, "")
+        assert line in out.splitlines()
 
     @pytest.mark.parametrize("alpha,z", [("0.5", "0"), ("0", "0.5")])
     def test_ml_closed_form_past_gamma_overflow_underflows(self, capsys, alpha, z):

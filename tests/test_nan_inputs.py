@@ -93,3 +93,17 @@ def test_overflow_rejected(make):
     # numpy warning, or an OverflowError; the warnings filter is "error"
     with pytest.raises(ValueError, match="overflows"):
         make()
+
+
+UNDERFLOW_CASES = {
+    "operator-scale": lambda: DiscreteOp(1.5, 4, 1e-300),
+    "bound-span-power": lambda: bound_constant_s(FracParams(0.5, 0.5), _unit(), 0.0, 1e-250),
+}
+
+
+@pytest.mark.parametrize("make", UNDERFLOW_CASES.values(), ids=UNDERFLOW_CASES.keys())
+def test_underflow_rejected(make):
+    # h^s or the span's power at 0.0 once gave operator values of 0 and a
+    # ZeroDivisionError in the bound constant A
+    with pytest.raises(ValueError, match="underflows"):
+        make()

@@ -249,13 +249,15 @@ def _cmd_oracle(args):
 
 
 def _cmd_compare(args):
+    if args.reference == "composed" and args.opkind != "psi-frac":
+        raise ValueError(f"--reference composed needs --op psi-frac, got --op {args.opkind}")
     kernel = kernel_from_id(args.kernel, (args.a, args.b))
     p = FracParams(args.mu, args.nu)
     spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
     power = funcs.resolve_spatial(f"power:{args.delta!r}", kernel, args.a)
     n_list = [int(tok) for tok in args.n_list.split(",")]
     which = next(w for w, (kind, _) in _POWER_FORMS.items() if kind == args.opkind)
-    if args.opkind == "psi-frac" and args.reference == "composed":
+    if args.reference == "composed":
         which = "power-int"
     _, form = _POWER_FORMS[which]
     lines = ["n,rel_error,observed_order"]

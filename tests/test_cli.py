@@ -792,6 +792,13 @@ class TestCompareCommand:
         assert errs[0] > errs[1] > errs[2]
         assert float(rows[-1][2]) >= 0.8  # observed order
 
+    @pytest.mark.parametrize("op", ["integral", "hilfer"])
+    def test_composed_reference_needs_psi_frac(self, capsys, op):
+        # only psi-frac has a composed reference; the lemma form was printed
+        code, out, err = run_cli(capsys, "compare", "--op", op, "--reference", "composed")
+        assert (code, out) == (1, "")
+        assert err == f"error: --reference composed needs --op psi-frac, got --op {op}\n"
+
     def test_lemma_reference_reports_saturation(self, capsys):
         # against the tabulated four-Gamma form the error cannot shrink:
         # the composition itself converges to the plain order-mu integral

@@ -108,6 +108,49 @@ class TestCells:
         assert csv_text("x,value", np.array([]), np.array([])) == "x,value\n"
 
 
+class TestTables:
+    def test_split_powers_of_ten(self):
+        # column 316 - k holds 10^(16-k): hi, lo, and hi's Veltkamp halves
+        hi, lo, h1, h2 = _csv._tables()[-1]
+        for p in range(-300, 301):
+            assert (hi[p + 300], lo[p + 300]) == _csv._pow10(p)
+        assert np.array_equal(h1 + h2, hi)
+        significand = np.frexp(h1)[0] * 2.0**26  # at most 26 significant bits
+        assert np.array_equal(significand, np.floor(significand))
+
+
+class TestChunkPlan:
+    """Each thread's rows are cut into chunks of equal whole rows."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 7])
+    @pytest.mark.parametrize("steps,extra", [(1, -1), (1, 0), (1, 1), (1.5, 0), (2, 1), (4, 1)])
+    def test_equal_whole_row_chunks(self, monkeypatch, cols, steps, extra):
+        step = 8192 // cols
+        rows = int(steps * step) + extra
+        chunk, seen = _csv._chunk, []
+
+        def recorded(v, c):
+            seen.append((int(v[0]), v.size))  # column 0 holds the row number
+            return chunk(v, c)
+
+        monkeypatch.setattr(_csv, "_chunk", recorded)
+        rng = np.random.default_rng(rows + cols)
+        columns = [np.arange(rows, dtype=float)]
+        columns += [rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows) for _ in range(cols - 1)]
+        assert_same_text(csv_text("h", *columns), per_row("h", *columns))
+        assert all(size % cols == 0 for _, size in seen)
+        seen.sort()
+        starts = [first for first, _ in seen]
+        ends = [first + size // cols for first, size in seen]
+        assert starts == [0, *ends[:-1]] and ends[-1] == rows  # each row once
+        mid = (rows + 1) // 2
+        for lo, hi in [(0, rows)] if rows <= step else [(0, mid), (mid, rows)]:
+            lengths = [e - b for b, e in zip(starts, ends) if lo <= b < hi]
+            assert sum(lengths) == hi - lo  # no chunk crosses the split
+            assert max(lengths) - min(lengths) <= 1  # no short tail
+            assert min(lengths) >= min(hi - lo, 0.75 * step) and max(lengths) < 1.5 * step
+
+
 class TestTwoThreadSplit:
     """A table of more than one chunk: rows ceil(rows/2) on are formatted on
     a second thread, the rows before them on the calling thread."""

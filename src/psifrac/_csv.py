@@ -1,14 +1,12 @@
 """CSV text of float64 columns, formatted in numpy exactly as ``'%.17g'``.
 
-A table is formatted in chunks of about 8192 cells, each of whole rows,
-by one function, ``_chunk``.  A table of more than one chunk is split at
-its middle row, and a second thread formats the second half while the
-calling thread formats the first.
+A table is formatted on the calling thread in chunks of about 8192 cells,
+each of whole rows, by one function, ``_chunk``, into two workspace arrays
+that each call allocates once, sized for its largest chunk.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import cache
 
 import numpy as np
@@ -102,8 +100,11 @@ def _divmod(x: np.ndarray, d: int):
     return q, x - q * d
 
 
-def _chunk(v: np.ndarray, cols: int) -> str:
-    """The text of ``v``, whole rows of ``cols`` cells flattened row-major."""
+def _chunk(v: np.ndarray, cols: int, src: np.ndarray, out: np.ndarray) -> str:
+    """The text of ``v``, whole rows of ``cols`` cells flattened row-major.
+    ``src`` and ``out``, (cells, 7) uint32 and (cells, 25) uint8 with at
+    least ``v.size`` rows, are overwritten with each cell's source bytes and
+    field."""
     quad, exp, tail, count, form, lead, pats, split = _tables()
     fast = (abs(v) >= 1e-270) & (abs(v) < 1e270)
     a = np.where(fast, abs(v), 1.0)
@@ -119,7 +120,7 @@ def _chunk(v: np.ndarray, cols: int) -> str:
     slow = (~fast & (v != 0)) | (abs(f - 0.5) < 1e-6) | (n < 10**16) | (n >= 10**17)
     n[slow | ~fast], k[slow | ~fast] = 0, 0  # all-zero digits: a zero
     k += 300
-    src = np.empty((v.size, 7), np.uint32)
+    src, out = src[: v.size], out[: v.size]
     high, low = _divmod(n, 10**8)
     first, high = _divmod(high, 10**8)
     groups = _divmod(high, 10**4) + _divmod(low, 10**4)
@@ -130,7 +131,7 @@ def _chunk(v: np.ndarray, cols: int) -> str:
             np.maximum(digits, count[j, group], out=digits)
     src[:, 4], src[:, 5], src[:, 6] = lead[first + 10 * np.signbit(v)], exp[k], tail
     codes = form[k] + digits
-    flat, out = src.view(np.uint8).ravel(), np.empty((v.size, 25), np.uint8)
+    flat = src.view(np.uint8).ravel()
     # 2048 cells at a time, whose 57344 source bytes a uint16 index reaches
     starts = np.arange(0, 28 * 2048, 28, dtype=np.uint16)[:, None]
     for lo in range(0, v.size, 2048):
@@ -143,12 +144,16 @@ def _chunk(v: np.ndarray, cols: int) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _texts(table: np.ndarray, lo: int, hi: int, step: int) -> list[str]:
-    """The texts of rows lo .. hi-1 in max(1, round((hi - lo) / step))
-    chunks of equal whole rows (their sizes differ by at most one row)."""
-    m = max(1, round((hi - lo) / step))
-    cuts = [lo + (hi - lo) * i // m for i in range(m + 1)]
-    return [_chunk(table[b:e].ravel(), table.shape[1]) for b, e in zip(cuts, cuts[1:])]
+def _texts(table: np.ndarray, step: int) -> list[str]:
+    """The texts of the table's rows in max(1, round(rows / step)) chunks of
+    equal whole rows (their sizes differ by at most one row), all formatted
+    in one pair of workspace arrays sized for the largest chunk."""
+    rows, cols = table.shape
+    m = max(1, round(rows / step))
+    cuts = [rows * i // m for i in range(m + 1)]
+    cells = cols * -(-rows // m)
+    src, out = np.empty((cells, 7), np.uint32), np.empty((cells, 25), np.uint8)
+    return [_chunk(table[b:e].ravel(), cols, src, out) for b, e in zip(cuts, cuts[1:])]
 
 
 def csv_text(header: str, *columns) -> str:
@@ -168,37 +173,14 @@ def csv_text(header: str, *columns) -> str:
     ones (``take`` widens them once), and the zero padding of each field is
     dropped by ``bytes.translate``.
 
-    The rows formatted on one thread are cut into max(1, round(rows/step))
-    chunks of equal whole rows, step = 8192 // columns, so no chunk is a
-    short tail: a chunk holds fewer than 1.5 steps of rows, and at least
-    0.75 steps or all of them.
-
-    A table of more than one chunk is formatted on two threads, whose numpy
-    loops release the GIL: one more thread formats rows ceil(rows/2) on
-    while the calling thread formats the rows before them, and the two
-    texts are joined in order.  The thread has ended before this returns or
-    raises, and an exception raised on it is raised here.
+    The rows are cut into max(1, round(rows/step)) chunks of equal whole
+    rows, step = 8192 // columns, so no chunk is a short tail: a chunk holds
+    fewer than 1.5 steps of rows, and at least floor(0.75 steps) or all of
+    them (1.5 steps round to two chunks).
+    Every chunk is formatted on the calling thread into the same two
+    workspace arrays, the cells' source bytes and their fields, which this
+    call allocates once for its largest chunk, so a call holds no state that
+    another call can see.
     """
-    _tables()  # built once, before a second thread can ask for them
     table = np.asarray(np.broadcast_arrays(*columns), np.float64).T
-    rows, step = table.shape[0], max(1, 8192 // table.shape[1])
-    if rows <= step:  # a thread costs more than it saves (2-core host: 11 rows
-        # take 0.12 ms on one thread, 0.29 ms on two; 4096 rows 1.85 and 2.23 ms)
-        return "".join([header + "\n", *_texts(table, 0, rows, step)])
-    mid, second = (rows + 1) // 2, []  # the slot for the thread's texts or exception
-
-    def work():
-        try:
-            second.append(_texts(table, mid, rows, step))
-        except BaseException as exc:  # a lost exception would cut the text short
-            second.append(exc)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
-        first = _texts(table, 0, mid, step)
-    finally:
-        worker.join()
-    if isinstance(second[0], BaseException):
-        raise second[0]
-    return "".join([header + "\n", *first, *second[0]])
+    return "".join([header + "\n", *_texts(table, max(1, 8192 // table.shape[1]))])

@@ -18,7 +18,11 @@ product it sums, so an output's error scales with the products that reach
 its own level, not the whole grid's: on smooth data the relative error at
 nodes >= 3 stays below 5e-14 up to n = 65536.  The levels depend on n alone,
 so each level's table transform is made once, with the operator, and every
-apply (such as a Picard sweep) transforms only its data.
+apply (such as a Picard sweep) transforms only its data.  An apply allocates
+one complex and one real scratch, sized for its largest level (not always
+the last), and every level's forward and inverse transforms write into
+slices of them (``numpy.fft``'s ``out=``, numpy >= 2.0); the scratch is the
+apply's own, so an apply never writes to the operator.
 
 The start correction refits nodal data over the first few cells with a
 sqrt(z) term and integrates the residual against the piecewise model
@@ -215,9 +219,14 @@ class DiscreteOp:
         m = min(self.n, _DIRECT_N)
         out = np.empty(self.n + 1)
         out[: m + 1] = np.convolve(d[:m], self._table[: m + 1])[: m + 1]
+        # one spectrum and one signal scratch for every level, sized for the
+        # largest, which is not always the last (n = 8193: 16384, then 12288)
+        top = max((size for _, _, size, _ in self._levels), default=0)
+        spectrum, signal = np.empty(top // 2 + 1, complex), np.empty(top)
         for lo, hi, size, table_fft in self._levels:
-            d_fft = np.fft.rfft(d[:hi], size)
-            out[lo + 1 : hi + 1] = np.fft.irfft(d_fft * table_fft, size)[lo:hi]
+            d_fft = np.fft.rfft(d[:hi], size, out=spectrum[: size // 2 + 1])
+            d_fft *= table_fft
+            out[lo + 1 : hi + 1] = np.fft.irfft(d_fft, size, out=signal[:size])[lo:hi]
         out *= self._scale
         # rows 1..n only: the whole block's product rounds differently
         out[1:] += self._block[1:] @ self._second_differences(values)

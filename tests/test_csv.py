@@ -120,18 +120,20 @@ class TestTables:
 
 
 class TestChunkPlan:
-    """Each thread's rows are cut into chunks of equal whole rows."""
+    """A table's rows are cut into chunks of equal whole rows, all formatted
+    in one pair of workspace arrays sized for the largest chunk."""
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     @pytest.mark.parametrize("steps,extra", [(1, -1), (1, 0), (1, 1), (1.5, 0), (2, 1), (4, 1)])
     def test_equal_whole_row_chunks(self, monkeypatch, cols, steps, extra):
         step = 8192 // cols
         rows = int(steps * step) + extra
-        chunk, seen = _csv._chunk, []
+        chunk, seen, workspaces = _csv._chunk, [], []
 
-        def recorded(v, c):
+        def recorded(v, c, src, out):
             seen.append((int(v[0]), v.size))  # column 0 holds the row number
-            return chunk(v, c)
+            workspaces.append((src, out))  # held, so no address is reused
+            return chunk(v, c, src, out)
 
         monkeypatch.setattr(_csv, "_chunk", recorded)
         rng = np.random.default_rng(rows + cols)
@@ -143,17 +145,20 @@ class TestChunkPlan:
         starts = [first for first, _ in seen]
         ends = [first + size // cols for first, size in seen]
         assert starts == [0, *ends[:-1]] and ends[-1] == rows  # each row once
-        mid = (rows + 1) // 2
-        for lo, hi in [(0, rows)] if rows <= step else [(0, mid), (mid, rows)]:
-            lengths = [e - b for b, e in zip(starts, ends) if lo <= b < hi]
-            assert sum(lengths) == hi - lo  # no chunk crosses the split
-            assert max(lengths) - min(lengths) <= 1  # no short tail
-            assert min(lengths) >= min(hi - lo, 0.75 * step) and max(lengths) < 1.5 * step
+        lengths = [e - b for b, e in zip(starts, ends)]
+        assert max(lengths) - min(lengths) <= 1  # no short tail
+        assert min(lengths) >= min(rows, math.floor(0.75 * step)) and max(lengths) < 1.5 * step
+        # one workspace pair for the whole table, as large as its largest chunk
+        src, out = workspaces[0]
+        assert all(s is src and o is out for s, o in workspaces)
+        cells = cols * max(lengths)
+        assert src.shape == (cells, 7) and out.shape == (cells, 25)
 
 
 class TestTwoThreadSplit:
-    """A table of more than one chunk: rows ceil(rows/2) on are formatted on
-    a second thread, the rows before them on the calling thread."""
+    """Tables around the row where ``csv_text`` once handed the rest of a
+    table to a second thread, ceil(rows/2): every chunk is now formatted on
+    the calling thread, and no thread is started."""
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     @pytest.mark.parametrize("chunks", [(1, 0), (1, 1), (2, -1), (2, 1), (3, 5)])
@@ -170,21 +175,15 @@ class TestTwoThreadSplit:
         assert_same_text(csv_text("h", *columns), per_row("h", *columns))
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
-    def test_one_chunk_starts_no_thread(self, monkeypatch, cols):
-        started = []
+    def test_no_table_starts_a_thread(self, monkeypatch, cols):
+        def refuse(thread):
+            raise AssertionError("csv_text started a thread")
 
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(_csv.threading, "Thread", Counted)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         step = 8192 // cols
-        for rows in (0, 1, step):
-            csv_text("h", *np.ones((cols, rows)))
-        assert started == []
-        csv_text("h", *np.ones((cols, step + 1)))
-        assert len(started) == 1
+        for rows in (0, 1, step, 3 * step + 5):
+            values = np.random.default_rng(rows).standard_normal((cols, rows))
+            assert_same_text(csv_text("h", *values), per_row("h", *values))
 
     def test_concurrent_callers(self):
         # more callers than cores, each splitting its own table, with thread
@@ -211,14 +210,16 @@ class TestTwoThreadSplit:
 
     @pytest.mark.parametrize("raise_at", ["first", "second"])
     def test_exception_reaches_the_caller_and_the_thread_ends(self, monkeypatch, raise_at):
+        # two chunks, cut at row rows // 2; the failing one is keyed on its
+        # first row
         rows = 2 * 8192 + 1
-        first_row = {"first": 0, "second": (rows + 1) // 2}[raise_at]
+        first_row = {"first": 0, "second": rows // 2}[raise_at]
         chunk = _csv._chunk
 
-        def failing(v, cols):
+        def failing(v, cols, src, out):
             if v[0] == first_row:
                 raise RuntimeWarning(f"chunk at row {first_row}")
-            return chunk(v, cols)
+            return chunk(v, cols, src, out)
 
         values = np.arange(rows, dtype=float)
         before = threading.active_count()

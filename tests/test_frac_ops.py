@@ -261,7 +261,9 @@ class TestSlopeIntegral:
     it) against the direct causal sum as the reference."""
 
     @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
-    @pytest.mark.parametrize("n", sorted({*LEVEL_EDGES, 1025, 3000, 8192}))
+    # 2049 and 8193 end in a one-node level whose FFT is shorter than the
+    # level before it
+    @pytest.mark.parametrize("n", sorted({*LEVEL_EDGES, 1025, 2049, 3000, 8192, 8193}))
     def test_fft_matches_direct_sum(self, n, s):
         x = np.linspace(0.0, 1.0, n + 1)
         h = 1.0 / n
@@ -287,6 +289,20 @@ class TestSlopeIntegral:
                 k = SKIP_BASE_NODES
                 rel = np.abs(fast[k:] - ref[k:]) / np.abs(ref[k:])
                 assert np.max(rel) <= 1e-13, name
+
+    @pytest.mark.parametrize("n", [129, 513, 2049, 8193])
+    def test_applies_share_no_state(self, n):
+        # data A, then B, then A: the second A is bit-identical to the first
+        # and the first result is left as it was, so no level's scratch
+        # carries data from one apply into the next
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n + 1), 1e6 * rng.standard_normal(n + 1)
+        op = DiscreteOp(0.5, n, 1.0 / n, base_exponent=-0.5)
+        first = op(a)
+        kept = first.copy()
+        op(b)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(op(a), kept)
 
     @pytest.mark.parametrize("n", [1, 2, 100, _DIRECT_N])
     def test_direct_sum_up_to_crossover(self, n):

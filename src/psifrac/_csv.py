@@ -144,18 +144,6 @@ def _chunk(v: np.ndarray, cols: int, src: np.ndarray, out: np.ndarray) -> str:
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _texts(table: np.ndarray, step: int) -> list[str]:
-    """The texts of the table's rows in max(1, round(rows / step)) chunks of
-    equal whole rows (their sizes differ by at most one row), all formatted
-    in one pair of workspace arrays sized for the largest chunk."""
-    rows, cols = table.shape
-    m = max(1, round(rows / step))
-    cuts = [rows * i // m for i in range(m + 1)]
-    cells = cols * -(-rows // m)
-    src, out = np.empty((cells, 7), np.uint32), np.empty((cells, 25), np.uint8)
-    return [_chunk(table[b:e].ravel(), cols, src, out) for b, e in zip(cuts, cuts[1:])]
-
-
 def csv_text(header: str, *columns) -> str:
     """``header``, then one line per row of the equal-length ``columns``,
     each float64 cell as ``'%.17g' % v``, comma-separated, LF-ended.
@@ -183,4 +171,10 @@ def csv_text(header: str, *columns) -> str:
     another call can see.
     """
     table = np.asarray(np.broadcast_arrays(*columns), np.float64).T
-    return "".join([header + "\n", *_texts(table, max(1, 8192 // table.shape[1]))])
+    rows, cols = table.shape
+    m = max(1, round(rows / max(1, 8192 // cols)))
+    cuts = [rows * i // m for i in range(m + 1)]
+    cells = cols * -(-rows // m)
+    src, out = np.empty((cells, 7), np.uint32), np.empty((cells, 25), np.uint8)
+    texts = [_chunk(table[b:e].ravel(), cols, src, out) for b, e in zip(cuts, cuts[1:])]
+    return "".join([header + "\n", *texts])

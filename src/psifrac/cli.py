@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: kernel, ml, op, oracle, compare, bounds, volterra, malthus,
-figures.  All numeric output is CSV (comma separator, LF endings, header
-row, 17 significant digits) and deterministic for a fixed configuration.
+figures.  Tables are CSV (comma separator, LF endings, header row, 17
+significant digits); ``ml`` and ``bounds`` print ``key = value`` lines and
+``oracle`` one number.  All output is deterministic for a fixed configuration.
 
 Options may also come from a flat config file of ``key = value`` lines via
 ``--config``: each entry is parsed as a flag placed before the command

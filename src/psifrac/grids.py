@@ -74,9 +74,9 @@ class TransformedGrid:
         return hash((self.a, self.b, self.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Nodal values of a function on a transformed grid."""
+    """Nodal values of a function on a transformed grid, compared by identity."""
 
     grid: TransformedGrid
     values: np.ndarray

@@ -22,20 +22,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightedNormSpec:
-    """Weight (psi(x)-psi(a))^w with w = xi ('forward') or 1-xi ('complement')."""
+    """Weight (psi(x)-psi(a))^w with w = xi_weight in [0, 1)."""
 
     xi_weight: float
-    orientation: str = "forward"
 
     def __post_init__(self):
         if not 0.0 <= self.xi_weight < 1.0:
             raise ValueError(f"xi weight must lie in [0, 1), got {self.xi_weight}")
-        if self.orientation not in ("forward", "complement"):
-            raise ValueError("orientation must be 'forward' or 'complement'")
-
-    @property
-    def exponent(self) -> float:
-        return self.xi_weight if self.orientation == "forward" else 1.0 - self.xi_weight
 
 
 def weighted_norm(
@@ -49,7 +42,7 @@ def weighted_norm(
     """
     skip = max(1, int(skip_base))
     z = f.grid.tau_nodes - f.grid.tau_nodes[0]
-    w = z[skip:] ** spec.exponent
+    w = z[skip:] ** spec.xi_weight
     return float(np.max(np.abs(w * f.values[skip:])))
 
 

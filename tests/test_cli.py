@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -490,6 +491,144 @@ class TestCsvRows:
         # the per-row form each CSV command used before the helper
         ref = [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vs)]
         assert csv_text("x,v", xs, vs).splitlines()[1:] == ref
+
+
+# The numpy-only contract of the commands: numpy is the only runtime
+# dependency, no run warns, and a bad input exits 1 with one error line.
+# "ok" is exit 0, empty stderr, and every cell of a CSV output printing back
+# as itself under '%.17g', which round-trips a float64, so no reference file
+# is needed; "error" is exit 1, empty stdout and one "error: " line.
+COMMAND_TABLE = [
+    # Mittag-Leffler values on the contour (E_{1/2}(-10), a decay curve)
+    ("ok", "malthus --lambda -3 --mu 0.5 --nu 1 --t-max 100 --steps 5"),
+    ("ok", "ml --alpha 0.5 --z -10"),
+    # the start correction's direct rows up to node 68 and its rows past
+    # them, expanded about the cells' midpoint: rows 69-100 at n = 100, a
+    # full 4096-row pass of those rows then a one-row pass at n = 4165; the
+    # slope integral's direct part alone at n = 128 and its FFT levels with a
+    # short last level at n = 5001; the mu = 1 Hilfer derivative's backward
+    # difference quotients
+    ("ok", "op --kind psi-frac --n 4096 --f sin"),
+    ("ok", "op --kind hilfer --n 5001 --f power:2.5"),
+    ("ok", "op --kind psi-frac --n 128 --f sin"),
+    ("ok", "op --kind hilfer --n 100 --f power:2.5"),
+    ("ok", "op --kind hilfer --n 4165 --f power:2.5"),
+    ("ok", "op --kind hilfer --mu 1 --nu 0.5 --n 5001 --f sin"),
+    ("ok", "compare --op psi-frac --n-list 256,512"),
+    ("ok", "volterra --n 256 --w linear:-1 --log volterra.log"),
+    # tables cut into equal whole-row chunks of unequal size, formatted in
+    # one workspace; the 8193-row table once ended in a one-row chunk
+    ("ok", "op --kind hilfer --n 65536 --f power:1.5"),
+    ("ok", "op --kind integral --n 12289 --f sin"),
+    ("ok", "op --kind psi-frac --n 8192 --f power:2.5"),
+    ("ok", "malthus"),
+    ("ok", "figures --out-dir ."),
+    # every builtin kernel family validates
+    ("ok", "kernel --kernel identity --a 0 --b 1.5"),
+    ("ok", "kernel --kernel sqrt_shift:1 --a 0 --b 1.5"),
+    ("ok", "kernel --kernel exp --a 0 --b 1.5"),
+    ("ok", "kernel --kernel log --a 1 --b 2.5"),
+    ("ok", "kernel --kernel power:2 --a 1 --b 2.5"),
+    # overflowing data, integrands, Mittag-Leffler arguments, populations
+    # and power-family oracle values; an operator scale h^s and a bound
+    # constant's span power that underflow to 0
+    ("error", "op --kind integral --f power:1000 --b 5"),
+    ("error", "op --kind integral --f linear:1e308 --b 5"),
+    ("error", "op --kind integral --f ml:0.5:1e308 --b 5"),
+    ("error", "oracle --which ml-eigen --lam 1e308 --x 4"),
+    ("error", "volterra --phi sin --w power:-400 --n 64"),
+    ("error", "volterra --w power:1000 --phi linear:3 --n 8"),
+    ("error", "malthus --n0 1e308 --lambda 5 --t-max 2"),
+    ("error", "oracle --which power-int --x 1e300 --delta 3"),
+    ("error", "op --kind integral --mu 0.5 --n 16 --b 1e-300 --f power:1.5"),
+    ("error", "bounds --mu 0.5 --b 1e-250"),
+    # an exp kernel whose psi underflows to 0 at the start, without a
+    # warning from the inverse's log(0)
+    ("ok", "op --kind integral --kernel exp --a -800 --b 0 --n 8"),
+    # a growth curve and an alternating series; an alpha or beta past
+    # log-gamma's float range sums with 1/Gamma = 0 for that term
+    ("ok", "malthus --lambda 1.5 --mu 0.5 --nu 1 --t-max 4 --steps 2000"),
+    ("ok", "ml --alpha 2 --z -25"),
+    ("ok", "ml --alpha 1e305 --z 0.5"),
+    ("ok", "ml --alpha 0.5 --beta 1e308 --z -5"),
+    # a series that cancels, overflows or runs out of terms
+    ("error", "ml --alpha 1 --beta 2 --z -30"),
+    ("error", "ml --alpha 0.5 --z 40"),
+    ("error", "ml --alpha 0.5 --z 3 --max-terms 10"),
+    # a zero rate gives E_mu(0) = 1 even where z^mu overflows
+    ("ok", "op --kind integral --f ml:1000:0 --b 5"),
+    ("ok", "op --kind integral --f one --b 5"),
+]
+
+# runs the table's argv lists, read as JSON from stdin, through main with
+# each one's output captured; prints the exit codes and outputs, and the
+# scipy modules loaded, as JSON
+TABLE_SCRIPT = """\
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from psifrac.cli import main
+rows = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    rows.append([code, out.getvalue(), err.getvalue()])
+scipy = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod)
+json.dump({"rows": rows, "scipy": scipy}, sys.stdout)
+"""
+
+
+def assert_cells_print_back(text, where):
+    def prints_back(cell):
+        try:
+            return "%.17g" % float(cell) == cell
+        except ValueError:  # a label, such as a kernel check's name
+            return cell.isidentifier()
+
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    bad = [r for r in rows if not all(map(prints_back, r))]
+    assert rows and not bad, (where, bad[:3])
+
+
+class TestCommandTable:
+    @staticmethod
+    def run_table(cwd, mode):
+        """The table's (code, stdout, stderr) rows, the scipy modules loaded
+        and the files written, from one interpreter under -W error in
+        ``cwd``; ``mode`` "blocked" makes scipy unimportable."""
+        cwd.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-c", TABLE_SCRIPT, mode],
+            input=json.dumps([argv.split() for _, argv in COMMAND_TABLE]),
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        report = json.loads(run.stdout)
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        return [tuple(row) for row in report["rows"]], report["scipy"], files
+
+    def test_runs_without_scipy_or_warnings(self, tmp_path):
+        blocked = self.run_table(tmp_path / "blocked", "blocked")
+        rows, scipy, files = self.run_table(tmp_path / "open", "open")
+        assert blocked == (rows, [], files)
+        assert scipy == []
+        for (shape, argv), (code, out, err) in zip(COMMAND_TABLE, rows):
+            if shape == "ok":
+                assert (code, err) == (0, ""), argv
+                if "," in out.partition("\n")[0]:
+                    assert_cells_print_back(out, argv)
+            else:
+                assert (code, out) == (1, ""), argv
+                one_line = err.count("\n") == 1 and err.endswith("\n")
+                assert err.startswith("error: ") and one_line, (argv, err)
+        for name, data in files.items():
+            if name.endswith(".csv"):
+                assert_cells_print_back(data.decode("ascii"), name)
+        stdout = {argv: out for (_, argv), (_, out, _) in zip(COMMAND_TABLE, rows)}
+        zero_rate = stdout["op --kind integral --f ml:1000:0 --b 5"]
+        assert zero_rate == stdout["op --kind integral --f one --b 5"]
 
 
 class TestImportCost:

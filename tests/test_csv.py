@@ -156,9 +156,10 @@ class TestChunkPlan:
 
 
 class TestTwoThreadSplit:
-    """Tables around the row where ``csv_text`` once handed the rest of a
-    table to a second thread, ceil(rows/2): every chunk is now formatted on
-    the calling thread, and no thread is started."""
+    """Tables of one to three chunk steps of rows, give or take a few, with
+    special cells at the middle row ceil(rows/2) and the last row: every
+    chunk is formatted on the calling thread, csv_text starts no thread, and
+    callers on several threads each get their own text."""
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     @pytest.mark.parametrize("chunks", [(1, 0), (1, 1), (2, -1), (2, 1), (3, 5)])
@@ -209,9 +210,9 @@ class TestTwoThreadSplit:
             assert_same_text(text, per_row("a,b,c", *table))
 
     @pytest.mark.parametrize("raise_at", ["first", "second"])
-    def test_exception_reaches_the_caller_and_the_thread_ends(self, monkeypatch, raise_at):
+    def test_exception_reaches_the_caller(self, monkeypatch, raise_at):
         # two chunks, cut at row rows // 2; the failing one is keyed on its
-        # first row
+        # first row, and the thread count stays as it was
         rows = 2 * 8192 + 1
         first_row = {"first": 0, "second": rows // 2}[raise_at]
         chunk = _csv._chunk

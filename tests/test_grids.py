@@ -75,3 +75,13 @@ def test_from_callable_broadcasts_constants():
     grid = TransformedGrid.build(kernel, 0.0, 1.0, 16)
     f = SampledFunction.from_callable(grid, lambda x: 3.0)
     assert np.all(f.values == 3.0)
+
+
+def test_sampled_functions_compare_and_hash_by_identity():
+    # the generated value equality reached the ndarray field and raised
+    kernel = make_builtin("identity", (), (0.0, 1.0))
+    grid = TransformedGrid.build(kernel, 0.0, 1.0, 16)
+    f = SampledFunction.from_callable(grid, np.sin)
+    g = SampledFunction(grid, f.values.copy())
+    assert f == f and f != g
+    assert len({f, f, g}) == 2

@@ -48,18 +48,9 @@ class TestWeightedNorm:
         f = SampledFunction(grid, np.ones(grid.n + 1))
         assert weighted_norm(f, WeightedNormSpec(0.5)) == pytest.approx(2.0, rel=1e-12)
 
-    def test_complement_orientation(self):
-        grid = grid_on(b=4.0)
-        f = SampledFunction(grid, np.ones(grid.n + 1))
-        spec = WeightedNormSpec(0.75, orientation="complement")
-        assert spec.exponent == 0.25
-        assert weighted_norm(f, spec) == pytest.approx(4.0**0.25, rel=1e-12)
-
     def test_weight_range_enforced(self):
         with pytest.raises(ValueError):
             WeightedNormSpec(1.0)
-        with pytest.raises(ValueError):
-            WeightedNormSpec(0.5, orientation="sideways")
 
 
 class TestBoundConstants:

@@ -19,10 +19,12 @@ its own level, not the whole grid's: on smooth data the relative error at
 nodes >= 3 stays below 5e-14 up to n = 65536.  The levels depend on n alone,
 so each level's table transform is made once, with the operator, and every
 apply (such as a Picard sweep) transforms only its data.  An apply allocates
-one complex and one real scratch, sized for its largest level (not always
-the last), and every level's forward and inverse transforms write into
-slices of them (``numpy.fft``'s ``out=``, numpy >= 2.0); the scratch is the
-apply's own, so an apply never writes to the operator.
+one complex and one real scratch, sized for the largest level (not always
+the last, and fixed when the operator is built), and every level's forward
+and inverse transforms write into slices of them (``numpy.fft``'s ``out=``,
+numpy >= 2.0); the real one, at least n + 1 long, then takes the start
+correction's product and the base-point term.  The scratch is the apply's
+own, so an apply never writes to the operator.
 
 The start correction refits nodal data over the first few cells with a
 sqrt(z) term and integrates the residual against the piecewise model
@@ -199,9 +201,11 @@ class DiscreteOp:
             raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
         if hs == 0.0:
             raise ValueError(f"operator scale h^s underflows at h = {h:g}, s = {s:g}")
-        # each FFT level and its table transform
+        # each FFT level and its table transform, and the largest level size,
+        # which is not always the last (n = 8193: 16384, then 12288)
         self._levels = [(lo, hi, size, np.fft.rfft(self._table[1 : hi + 1], size))
                         for lo, hi, size in _levels(n)]
+        self._top = max((size for _, _, size, _ in self._levels), default=0)
         self._block = _correction_block(s, n, h) if corrected else np.zeros((n + 1, 0))
         self._base = None
         if base_exponent is not None:
@@ -209,29 +213,36 @@ class DiscreteOp:
             z = np.arange(1, n + 1, dtype=float) * h
             self._base[1:] = z**base_exponent / math.gamma(base_exponent + 1.0)
 
-    def _second_differences(self, values: np.ndarray) -> np.ndarray:
-        # on the data side, so constants give exactly zero
-        return np.diff(values[..., : self._block.shape[1] + 2], 2)
+    def _differences(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``np.diff(values)`` and the second differences over the first cells,
+        ``np.diff(values[..., : cells + 2], 2)``, by the same subtractions
+        without ``np.diff``'s wrapper; on the data side, so constants give
+        exactly zero."""
+        diff = values[..., 1:] - values[..., :-1]
+        cells = self._block.shape[1]
+        return diff, diff[..., 1 : cells + 1] - diff[..., :cells]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """The operator at all n + 1 nodes; exactly 0.0 at node 0."""
-        d = np.diff(values) / self.h
-        m = min(self.n, _DIRECT_N)
-        out = np.empty(self.n + 1)
+        n = self.n
+        d, second = self._differences(values)
+        d /= self.h
+        m = min(n, _DIRECT_N)
+        out = np.empty(n + 1)
         out[: m + 1] = np.convolve(d[:m], self._table[: m + 1])[: m + 1]
-        # one spectrum and one signal scratch for every level, sized for the
-        # largest, which is not always the last (n = 8193: 16384, then 12288)
-        top = max((size for _, _, size, _ in self._levels), default=0)
-        spectrum, signal = np.empty(top // 2 + 1, complex), np.empty(top)
+        # one spectrum and one real scratch for every level, sized for the
+        # largest; the real one then takes the correction and the base term
+        spectrum = np.empty(self._top // 2 + 1, complex)
+        signal = np.empty(max(self._top, n + 1))
         for lo, hi, size, table_fft in self._levels:
             d_fft = np.fft.rfft(d[:hi], size, out=spectrum[: size // 2 + 1])
             d_fft *= table_fft
             out[lo + 1 : hi + 1] = np.fft.irfft(d_fft, size, out=signal[:size])[lo:hi]
         out *= self._scale
         # rows 1..n only: the whole block's product rounds differently
-        out[1:] += self._block[1:] @ self._second_differences(values)
+        out[1:] += np.matmul(self._block[1:], second, out=signal[:n])
         if self._base is not None:
-            out += values[0] * self._base
+            out += np.multiply(self._base, values[0], out=signal[: n + 1])
         out[0] = 0.0
         return out
 
@@ -246,8 +257,9 @@ class DiscreteOp:
         """Node lo + r of ``self(values[r])`` for each row r of a (rows, n + 1)
         block, in O(rows n), up to the slope integral's summation order."""
         hi = lo + values.shape[0]
-        out = np.einsum("ij,ij->i", np.diff(values), self._row_weights[lo:hi]) / self.h
-        out += np.einsum("ij,ij->i", self._block[lo:hi], self._second_differences(values))
+        d, second = self._differences(values)
+        out = np.einsum("ij,ij->i", d, self._row_weights[lo:hi]) / self.h
+        out += np.einsum("ij,ij->i", self._block[lo:hi], second)
         if self._base is not None:
             out += values[:, 0] * self._base[lo:hi]
         return out

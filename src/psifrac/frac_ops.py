@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _quadrature as quad
 from .errors import ResolutionError
-from .grids import SampledFunction, TransformedGrid
+from .grids import SampledFunction, TransformedGrid, _frozen
 
 __all__ = [
     "FracParams",
@@ -84,7 +84,8 @@ def _oriented(f: SampledFunction, side: str) -> np.ndarray:
 
 
 def _emit(f: SampledFunction, out: np.ndarray, side: str) -> SampledFunction:
-    return f.with_values(out if side == "left" else out[::-1])
+    # the operator's output is fresh: frozen in place, so it is not copied
+    return f.with_values(_frozen(out) if side == "left" else out[::-1])
 
 
 def _require_resolution(f: SampledFunction):

@@ -19,6 +19,8 @@ __all__ = ["TransformedGrid", "SampledFunction"]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a read-only contiguous float array, frozen in place where it
+    already is one: for arrays the package has just made and hands over."""
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.setflags(write=False)
     return arr
@@ -82,23 +84,32 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        vals = self.values
+        # a writeable array is the caller's: copied, so it stays writeable and
+        # a later write to it does not reach these values.  A read-only one,
+        # such as another function's values, is shared as it is
+        if not isinstance(vals, np.ndarray) or vals.flags.writeable:
+            vals = np.array(vals, dtype=float)
+        vals = _frozen(vals)
         if vals.shape != (self.grid.n + 1,):
             raise ValueError(
                 f"expected {self.grid.n + 1} values, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("sampled values must all be finite")
-        object.__setattr__(self, "values", _frozen(vals))
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_callable(
         cls, grid: TransformedGrid, fn: Callable[[np.ndarray], np.ndarray]
     ) -> "SampledFunction":
+        """``fn`` at the grid's nodes.  Its result is taken over, made read-only
+        in place rather than copied, so ``fn`` should return a fresh array, as
+        every function id does."""
         vals = np.asarray(fn(grid.x_nodes), dtype=float)
         if vals.shape == ():  # constant-returning callables
             vals = np.full(grid.n + 1, float(vals))
-        return cls(grid, vals)
+        return cls(grid, _frozen(vals))
 
     def with_values(self, values: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.grid, values)

@@ -26,7 +26,7 @@ from .frac_ops import (
     FracParams,
     psi_hilfer_derivative,
 )
-from .grids import SampledFunction, TransformedGrid
+from .grids import SampledFunction, TransformedGrid, _frozen
 from .kernels import PsiKernel, _z
 from .spaces import WeightedNormSpec, weighted_norm
 from .specfun import _ml_power
@@ -89,7 +89,7 @@ def malthus_residual(spec: MalthusSpec, n_grid: int) -> float:
     if n_grid < 64:
         raise ValueError(f"need n_grid >= 64, got {n_grid}")
     grid = TransformedGrid.build(spec.kernel, 0.0, spec.horizon, n_grid)
-    n_fn = SampledFunction(grid, malthus_solution(spec, grid.x_nodes))
+    n_fn = SampledFunction(grid, _frozen(malthus_solution(spec, grid.x_nodes)))
     deriv = psi_hilfer_derivative(n_fn, spec.p)
-    residual = n_fn.with_values(deriv.values - spec.lam * n_fn.values)
+    residual = n_fn.with_values(_frozen(deriv.values - spec.lam * n_fn.values))
     return weighted_norm(residual, WeightedNormSpec(1.0 - spec.p.xi), SKIP_BASE_NODES)

@@ -75,22 +75,23 @@ class ContractionReport:
 
 
 def _apply_operator(problem: VolterraProblem, op, nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J[W] at every node.  W(t_i, s, x) fills row i of a block (a constant
-    broadcasts, other lengths raise ValueError) and node lo + r reads row r; a
-    t-free W fills one row (t = NaN, a canary) for the O(n log n) apply."""
-    ts = nodes if problem.t_dependent else [float("nan")]
+    """J[W] at every node, a fresh array.  W(t_i, s, x) fills row i of a block (a
+    constant broadcasts, other lengths raise ValueError) and node lo + r reads
+    row r; a t-free W fills one row (t = NaN, a canary) for the O(n log n) apply."""
+    integrand = problem.integrand
+    ts = nodes.tolist() if problem.t_dependent else [float("nan")]
     block = np.empty((min(_ROW_BLOCK, len(ts)), nodes.size))
-    out = []
+    parts = []
     for lo in range(0, len(ts), _ROW_BLOCK):
         rows = block[: len(ts) - lo]
         # inf or NaN in W or in J[W] is reported here or by the caller's guard
         with np.errstate(over="ignore", invalid="ignore"):
-            for row, t in zip(rows, ts[lo:]):
-                row[:] = problem.integrand(float(t), nodes, x)
-            if not np.all(np.isfinite(rows)):
+            for i, t in enumerate(ts[lo : lo + _ROW_BLOCK]):
+                rows[i] = integrand(t, nodes, x)
+            if not np.isfinite(rows).all():
                 raise DivergenceError("integrand produced non-finite values", iteration=-1)
-            out.append(op.rows(rows, lo) if problem.t_dependent else op(rows[0]))
-    return np.concatenate(out)
+            parts.append(op.rows(rows, lo) if problem.t_dependent else op(rows[0]))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def picard_solve(
@@ -122,20 +123,24 @@ def picard_solve(
     sup_diffs: list[float] = []
     for k in range(1, max_iter + 1):
         try:
-            integral = _apply_operator(problem, op, nodes, x)
+            new = _apply_operator(problem, op, nodes, x)
         except DivergenceError as exc:
             raise DivergenceError(
                 f"{exc} (iterate {k})", iteration=k
             ) from None
-        new = phi + integral
-        sup = float(np.max(np.abs(new)))
+        # the apply's output is fresh, so the iterate is formed in it, and
+        # |new| and |new - x| share one work array
+        new += phi
+        work = np.abs(new)
+        sup = float(work.max())
         if not sup <= _DIVERGENCE_GUARD:  # NaN trips it too
             raise DivergenceError(
                 f"iterate {k} exceeded the divergence guard (sup = {sup:.3g})",
                 iteration=k,
             )
         new.setflags(write=False)
-        sup_diffs.append(float(np.max(np.abs(new - x))))
+        np.subtract(new, x, out=work)
+        sup_diffs.append(float(np.abs(work, out=work).max()))
         x = new
         if sup_diffs[-1] <= tol:
             break

@@ -468,6 +468,46 @@ class TestDiscreteOp:
             ref = op(row)[lo + r]
             assert abs(out[r] - ref) <= 1e-14 * _rounding_scale(row, s, n)
 
+    # n = 1..9: cells = min(CORRECTION_CELLS, n - 1) shrinks the second
+    # differences; 129, 513 and 4097 end in a one-node FFT level
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 128, 129, 513, 4097])
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("base", [None, -0.5])
+    def test_apply_matches_np_diff_formulas(self, n, corrected, base):
+        # the apply forms its differences by direct subtraction and writes into
+        # its own scratch: bit for bit the np.diff formulas with fresh
+        # temporaries written out here, and the data are left as they were
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n + 1)
+        block = rng.standard_normal((min(n + 1, 300), n + 1))
+        kept, kept_block = values.copy(), block.copy()
+        s, h = 1.3, 1.0 / n
+        op = DiscreteOp(s, n, h, base_exponent=base, corrected=corrected)
+        cells = min(CORRECTION_CELLS, n - 1) if corrected else 0
+
+        d = np.diff(values) / h
+        m = min(n, _DIRECT_N)
+        ref = np.empty(n + 1)
+        ref[: m + 1] = np.convolve(d[:m], op._table[: m + 1])[: m + 1]
+        for lo, hi, size, table_fft in op._levels:
+            ref[lo + 1 : hi + 1] = np.fft.irfft(np.fft.rfft(d[:hi], size) * table_fft, size)[lo:hi]
+        ref *= op._scale
+        ref[1:] += op._block[1:] @ np.diff(values[:cells + 2], 2)
+        if base is not None:
+            ref += values[0] * op._base
+        ref[0] = 0.0
+        assert op(values).tobytes() == ref.tobytes()
+
+        # the block's rows from node 0, and the same rows ending at node n
+        for lo in (0, n + 1 - block.shape[0]):
+            hi = lo + block.shape[0]
+            rows = np.einsum("ij,ij->i", np.diff(block), op._row_weights[lo:hi]) / h
+            rows += np.einsum("ij,ij->i", op._block[lo:hi], np.diff(block[:, :cells + 2], 2))
+            if base is not None:
+                rows += block[:, 0] * op._base[lo:hi]
+            assert op.rows(block, lo).tobytes() == rows.tobytes(), lo
+        assert np.array_equal(values, kept) and np.array_equal(block, kept_block)
+
     # n = 3000 takes the FFT levels; the correction reads the data's own
     # second differences, so a constant gives exactly zero at every node
     @pytest.mark.parametrize("n", [64, 3000])

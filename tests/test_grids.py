@@ -85,3 +85,17 @@ def test_sampled_functions_compare_and_hash_by_identity():
     g = SampledFunction(grid, f.values.copy())
     assert f == f and f != g
     assert len({f, f, g}) == 2
+
+
+def test_wrapping_leaves_the_callers_array_writeable():
+    # np.ascontiguousarray returned the caller's own array, which the wrapper
+    # then made read-only; the wrapper now keeps a copy of a writeable array
+    kernel = make_builtin("identity", (), (0.0, 1.0))
+    grid = TransformedGrid.build(kernel, 0.0, 1.0, 8)
+    arr = np.linspace(0.0, 1.0, 9)
+    f = SampledFunction(grid, arr)
+    assert arr.flags.writeable and not f.values.flags.writeable
+    arr[3] = 7.0
+    assert np.array_equal(f.values, np.linspace(0.0, 1.0, 9))
+    # a read-only array, such as another function's values, is shared
+    assert f.with_values(f.values).values is f.values

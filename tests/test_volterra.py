@@ -293,6 +293,53 @@ class TestTDependentContract:
         assert trace.converged and seen == {float}
 
 
+class TestInPlaceUpdate:
+    # 2049 nodes take the FFT levels; 65 nodes are one block of frozen-t rows
+    # and 301 a full block and a short one
+    @pytest.mark.parametrize(
+        "t_dependent, n", [(False, 2048), (True, 64), (True, 300)], ids=["fast", "one-block", "two-blocks"]
+    )
+    @pytest.mark.parametrize("seeded", [False, True], ids=["phi-seed", "x0-seed"])
+    def test_updates_are_those_of_the_recorded_iterates(self, t_dependent, n, seeded):
+        # each sweep forms its iterate in the apply's fresh output and takes
+        # |new| and |new - x| in one work array: every update size is exactly
+        # that of the iterates W received, and no input array is written
+        received, made = [], []
+
+        def phi(x):
+            out = np.sin(x)
+            made.append((out, out.copy()))
+            return out
+
+        def w(t, s, x):
+            received.append(x.copy())
+            return np.cos(t - s) * x * -0.5 if t_dependent else -0.5 * x
+
+        problem = make_problem(w, n=n, phi=phi, t_dependent=t_dependent)
+        grid = problem.grid()
+        x0_values = np.cos(grid.x_nodes)
+        x0 = SampledFunction(grid, x0_values) if seeded else None
+        x0_kept = None if x0 is None else x0.values.copy()
+        trace = picard_solve(problem, tol=1e-12, x0=x0)
+
+        # one W call per sweep, or one per node, each with that sweep's
+        # iterate; the last group is the residual's, on the solution
+        calls = n + 1 if t_dependent else 1
+        assert len(received) == calls * (trace.iterations + 1)
+        iterates = received[::calls]
+        for k, x in enumerate(iterates):
+            assert all(np.array_equal(r, x) for r in received[k * calls : (k + 1) * calls])
+        assert np.array_equal(iterates[-1], trace.solution.values)
+        assert trace.iterations > 2 and trace.converged
+        for k, diff in enumerate(trace.sup_diffs):
+            assert diff == float(np.max(np.abs(iterates[k + 1] - iterates[k]))), k
+        assert all(np.array_equal(out, kept) for out, kept in made)
+        if seeded:
+            assert np.array_equal(iterates[0], x0_kept) and np.array_equal(x0.values, x0_kept)
+            assert np.array_equal(x0_values, x0_kept) and x0_values.flags.writeable
+        assert not trace.solution.values.flags.writeable
+
+
 class TestOperatorReuse:
     @pytest.mark.parametrize("t_dependent", [False, True], ids=["fast", "t_dependent"])
     def test_one_weight_table_per_solve(self, monkeypatch, t_dependent):

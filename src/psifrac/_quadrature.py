@@ -10,21 +10,31 @@ column.
 
 The slope integral is a causal convolution with the table.  Its first
 ``_DIRECT_N + 1`` outputs are summed directly (``np.convolve``), so up to
-n = ``_DIRECT_N`` the result is that sum bit for bit.  The rest come in
-levels (lo, hi], lo = 128, 512, 2048, ... and hi = min(4 lo, n): each is
+n = ``_DIRECT_N`` the result is that sum bit for bit.  Past that a head of
+FFT levels (lo, hi], lo = 128, 512, 2048, ... and hi = min(4 lo, b), each
 one zero-padded real FFT of the slopes up to hi against the table up to hi,
-so an application costs O(n log n).  FFT rounding scales with the largest
-product it sums, so an output's error scales with the products that reach
-its own level, not the whole grid's: on smooth data the relative error at
-nodes >= 3 stays below 5e-14 up to n = 65536.  The levels depend on n alone,
-so each level's table transform is made once, with the operator, and every
-apply (such as a Picard sweep) transforms only its data.  An apply allocates
-one complex and one real scratch, sized for the largest level (not always
-the last, and fixed when the operator is built), and every level's forward
-and inverse transforms write into slices of them (``numpy.fft``'s ``out=``,
-numpy >= 2.0); the real one, at least n + 1 long, then takes the start
-correction's product and the base-point term.  The scratch is the apply's
-own, so an apply never writes to the operator.
+reaches the partition length b (b = n up to n = 512, where the head is all
+there is).  Outputs past b come from at most eight partitions of length
+b, sectioned convolution with the block layout of Hairer, Lubich & Schlichte
+(SIAM J. Sci. Stat. Comput. 6, 1985): the slopes' partitions D_q and the
+table's T_p, each transformed at length 2b, give partition m of the output
+as the inverse transform of Z_m = sum_{p+q=m} D_q T_p, overlap-added with
+its neighbour's.  The head's last level, (lo, b], is read from partition
+0's product, so outputs 0..512 are the same for every n.  An apply costs
+O(n log n).  FFT rounding scales with the largest product it sums, so an
+output's error scales with the products that reach its own level or
+partition, not the whole grid's: on smooth data the relative error at nodes
+>= 3 stays below 5e-14 up to n = 65536.  The head levels and partitions
+depend on n alone, so the table's transforms are made once, with the
+operator (the partitions' in one batched ``rfft``), and every apply (such
+as a Picard sweep) transforms only its data: its partitions in one batched
+``rfft`` and one ``irfft``.  An apply allocates one complex and one real
+scratch, fixed when the operator is built.  The real one holds the slopes,
+zero-padded to whole partitions, then the partition products and their
+inverse transforms, then the start correction's product and the base-point
+term; the head levels write past the slopes (``numpy.fft``'s ``out=``,
+numpy >= 2.0).  The scratch is the apply's own, so an apply never writes
+to the operator.
 
 The start correction refits nodal data over the first few cells with a
 sqrt(z) term and integrates the residual against the piecewise model
@@ -55,12 +65,13 @@ __all__ = [
 # cells refit with the sqrt term; fixed, so operators stay linear in f
 CORRECTION_CELLS = 8
 
-# outputs 0.._DIRECT_N are the direct sum; each FFT level past it reaches
-# _LEVEL_RATIO times as far as the one before.  Ratio 2 is more accurate
-# pointwise (7e-15 against 5e-14 worst), but its extra levels make an apply
-# at n 512-4096 slower
+# outputs 0.._DIRECT_N are the direct sum.  Past it the head's FFT levels
+# (lo, _LEVEL_RATIO lo] reach the partition length b, and outputs past b come
+# from at most _MAX_PARTS partitions of b >= _MIN_PART, one 2b transform each
 _DIRECT_N = 128
 _LEVEL_RATIO = 4
+_MIN_PART = _LEVEL_RATIO * _DIRECT_N
+_MAX_PARTS = 8
 
 # correction rows 1.._NEAR_K: one _NEAR_NODES-point rule per cell and a
 # _NEAR_TERMS-term series; later rows: the rule in 1/(k - _FAR_CENTRE), about
@@ -96,6 +107,12 @@ def _levels(n: int) -> list[tuple[int, int, int]]:
         levels.append((lo, hi, _fft_size(2 * hi - lo)))
         lo = hi
     return levels
+
+
+def _part_length(n: int) -> int:
+    """Partition length b: the smallest power of two >= n / _MAX_PARTS, and at
+    least _MIN_PART, so n <= _MIN_PART takes the head's levels alone."""
+    return max(_MIN_PART, 1 << (-(-n // _MAX_PARTS) - 1).bit_length())
 
 
 def _rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -188,8 +205,9 @@ class DiscreteOp:
     """I^s (s > 0) of the slopes of nodal values on n cells of width h.
     ``corrected`` adds the start correction, ``base_exponent`` e adds f(a)
     z^e/Gamma(e+1) (0.0 at the base node, where a negative power is infinite).
-    Holds the table and its transform at each FFT level, the node-indexed
-    correction block (no columns when uncorrected) and the base column."""
+    Holds the table's transform at each head level and per partition, the
+    node-indexed correction block (no columns when uncorrected) and the base
+    column."""
 
     def __init__(self, s: float, n: int, h: float, base_exponent=None, corrected=True):
         self.n, self.h = n, h
@@ -201,11 +219,23 @@ class DiscreteOp:
             raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
         if hs == 0.0:
             raise ValueError(f"operator scale h^s underflows at h = {h:g}, s = {s:g}")
-        # each FFT level and its table transform, and the largest level size,
-        # which is not always the last (n = 8193: 16384, then 12288)
-        self._levels = [(lo, hi, size, np.fft.rfft(self._table[1 : hi + 1], size))
-                        for lo, hi, size in _levels(n)]
-        self._top = max((size for _, _, size, _ in self._levels), default=0)
+        b = _part_length(n)
+        if n <= b:
+            # at most one level, (_DIRECT_N, n]; the real scratch holds the
+            # slopes, then its inverse transform
+            levels, self._parts = _levels(n), np.zeros((0, 1), complex)
+            size = max((size for *_, size in levels), default=1)
+            self._spectrum, self._signal = size // 2 + 1, n + size
+        else:
+            # the n = b operator's last level is (_tail_lo, b], read from
+            # partition 0's product; the table's partitions, zero-padded to
+            # whole ones, transformed at 2b in one call
+            *levels, (self._tail_lo, _, _) = _levels(b)
+            padded = np.zeros((-(-n // b), b))
+            padded.reshape(-1)[:n] = self._table[1:]
+            self._parts = np.fft.rfft(padded, 2 * b)
+            self._spectrum, self._signal = self._parts.size, 2 * padded.size
+        self._levels = [(lo, hi, size, np.fft.rfft(self._table[1 : hi + 1], size)) for lo, hi, size in levels]
         self._block = _correction_block(s, n, h) if corrected else np.zeros((n + 1, 0))
         self._base = None
         if base_exponent is not None:
@@ -213,31 +243,54 @@ class DiscreteOp:
             z = np.arange(1, n + 1, dtype=float) * h
             self._base[1:] = z**base_exponent / math.gamma(base_exponent + 1.0)
 
-    def _differences(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``np.diff(values)`` and the second differences over the first cells,
-        ``np.diff(values[..., : cells + 2], 2)``, by the same subtractions
-        without ``np.diff``'s wrapper; on the data side, so constants give
-        exactly zero."""
-        diff = values[..., 1:] - values[..., :-1]
+    def _differences(self, values: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """``np.diff(values)`` (into ``out`` if given) and the second
+        differences over the first cells, ``np.diff(values[..., : cells + 2],
+        2)``, by the same subtractions without ``np.diff``'s wrapper; on the
+        data side, so constants give exactly zero."""
+        diff = np.subtract(values[..., 1:], values[..., :-1], out=out)
         cells = self._block.shape[1]
         return diff, diff[..., 1 : cells + 1] - diff[..., :cells]
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """The operator at all n + 1 nodes; exactly 0.0 at node 0."""
-        n = self.n
-        d, second = self._differences(values)
+        n, parts = self.n, self._parts
+        count, b = parts.shape[0], parts.shape[1] - 1
+        # one spectrum and one real scratch per apply.  The real one holds
+        # the slopes (zero-padded to whole partitions), then the partition
+        # products and their inverse transforms, then the correction and the
+        # base term; the head levels' inverse transforms go past the slopes
+        spectrum = np.empty(self._spectrum, complex)
+        signal = np.empty(self._signal)
+        padded = max(n, count * b)
+        second = self._differences(values, out=signal[:n])[1]
+        d = signal[:padded]
+        d[n:] = 0.0
         d /= self.h
         m = min(n, _DIRECT_N)
         out = np.empty(n + 1)
         out[: m + 1] = np.convolve(d[:m], self._table[: m + 1])[: m + 1]
-        # one spectrum and one real scratch for every level, sized for the
-        # largest; the real one then takes the correction and the base term
-        spectrum = np.empty(self._top // 2 + 1, complex)
-        signal = np.empty(max(self._top, n + 1))
         for lo, hi, size, table_fft in self._levels:
             d_fft = np.fft.rfft(d[:hi], size, out=spectrum[: size // 2 + 1])
             d_fft *= table_fft
-            out[lo + 1 : hi + 1] = np.fft.irfft(d_fft, size, out=signal[:size])[lo:hi]
+            out[lo + 1 : hi + 1] = np.fft.irfft(d_fft, size, out=signal[padded : padded + size])[lo:hi]
+        if count:
+            # Z_m = sum_{p+q=m} D_q T_p, formed in place from the last row, so
+            # row q still holds D_q when it is read; the products go where
+            # the slopes were
+            z_fft = np.fft.rfft(d.reshape(count, b), 2 * b, out=spectrum.reshape(count, b + 1))
+            products = signal[: 2 * (count - 1) * (b + 1)].view(complex).reshape(count - 1, b + 1)
+            z_fft[-1] *= parts[0]
+            for q in range(count - 2, -1, -1):
+                z_fft[q + 1 :] += np.multiply(parts[1 : count - q], z_fft[q], out=products[: count - 1 - q])
+                z_fft[q] *= parts[0]
+            z = np.fft.irfft(z_fft, 2 * b, out=signal.reshape(count, 2 * b))
+            # output block m is the first half of z_m plus the second of z_m-1
+            out[self._tail_lo + 1 : b + 1] = z[0, self._tail_lo : b]
+            whole, rest = divmod(n - b, b)
+            np.add(z[1 : whole + 1, :b], z[:whole, b:], out=out[b + 1 : (whole + 1) * b + 1].reshape(whole, b))
+            if rest:
+                np.add(z[whole + 1, :rest], z[whole, b : b + rest], out=out[(whole + 1) * b + 1 :])
         out *= self._scale
         # rows 1..n only: the whole block's product rounds differently
         out[1:] += np.matmul(self._block[1:], second, out=signal[:n])

@@ -31,9 +31,11 @@ from psifrac._quadrature import (
     _FAR_CENTRE,
     _FAR_CHUNK,
     _LEVEL_RATIO,
+    _MIN_PART,
     _NEAR_K,
     _NEAR_NODES,
     _correction_block,
+    _levels,
     _pwconst_kernel,
     fracint_values,
 )
@@ -261,9 +263,9 @@ class TestSlopeIntegral:
     it) against the direct causal sum as the reference."""
 
     @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
-    # 2049 and 8193 end in a one-node level whose FFT is shorter than the
-    # level before it
-    @pytest.mark.parametrize("n", sorted({*LEVEL_EDGES, 1025, 2049, 3000, 8192, 8193}))
+    # 1025, 2049, 4097, 8193 and 16385 end in a one-node partition; 3000,
+    # 4100 and 5001 in a partial one
+    @pytest.mark.parametrize("n", sorted({*LEVEL_EDGES, 1025, 2049, 3000, 4097, 4100, 8192, 8193, 16385}))
     def test_fft_matches_direct_sum(self, n, s):
         x = np.linspace(0.0, 1.0, n + 1)
         h = 1.0 / n
@@ -290,11 +292,11 @@ class TestSlopeIntegral:
                 rel = np.abs(fast[k:] - ref[k:]) / np.abs(ref[k:])
                 assert np.max(rel) <= 1e-13, name
 
-    @pytest.mark.parametrize("n", [129, 513, 2049, 8193])
+    @pytest.mark.parametrize("n", [129, 513, 1025, 2049, 4100, 8193])
     def test_applies_share_no_state(self, n):
         # data A, then B, then A: the second A is bit-identical to the first
-        # and the first result is left as it was, so no level's scratch
-        # carries data from one apply into the next
+        # and the first result is left as it was, so no level's or
+        # partition's scratch carries data from one apply into the next
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal(n + 1), 1e6 * rng.standard_normal(n + 1)
         op = DiscreteOp(0.5, n, 1.0 / n, base_exponent=-0.5)
@@ -303,6 +305,48 @@ class TestSlopeIntegral:
         op(b)
         assert np.array_equal(first, kept)
         assert np.array_equal(op(a), kept)
+
+    @pytest.mark.parametrize("s", [0.05, 1.5])
+    @pytest.mark.parametrize("n", [513, 2048, 4100, 65536])
+    def test_outputs_to_first_level_end_unchanged(self, n, s):
+        # outputs 0..512 are the direct sum and the (128, 512] level at FFT
+        # length 1024, bit for bit, whatever partitions follow
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        h = 1.0 / n
+        d, table = np.diff(values) / h, _pwconst_kernel(s, n)
+        ref = np.empty(_MIN_PART + 1)
+        ref[: _DIRECT_N + 1] = np.convolve(d[:_DIRECT_N], table[: _DIRECT_N + 1])[: _DIRECT_N + 1]
+        level = np.fft.irfft(np.fft.rfft(d[:_MIN_PART], 1024) * np.fft.rfft(table[1 : _MIN_PART + 1], 1024), 1024)
+        ref[_DIRECT_N + 1 :] = level[_DIRECT_N:_MIN_PART]
+        ref *= h**s / G(s + 1.0)
+        ref[0] = 0.0
+        out = DiscreteOp(s, n, h, corrected=False)(values)
+        assert out[: _MIN_PART + 1].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 128, 512, 513, 2048, 4096, 4097, 4100, 8192, 16384, 16385, 65535, 65536])
+    def test_partition_rule(self, n):
+        # at most 8 partitions of a power of two b >= 512 cover n; the head is
+        # the n = b operator's levels, and where b = 512 4^k the last of them
+        # transforms d[:b] against table[1:b+1] at 2b, partition 0's product
+        op = DiscreteOp(0.5, n, 1.0 / n, corrected=False)
+        count, b = op._parts.shape[0], op._parts.shape[1] - 1
+        if n <= _MIN_PART:
+            assert count == 0
+            assert [level[:3] for level in op._levels] == _levels(n)
+            return
+        assert b == max(_MIN_PART, 2 ** math.ceil(math.log2(math.ceil(n / 8))))
+        assert 2 <= count <= 8 and (count - 1) * b < n <= count * b
+        *head, last = _levels(b)
+        assert [level[:3] for level in op._levels] == head and op._tail_lo == last[0]
+        table = _pwconst_kernel(0.5, n)
+        assert np.array_equal(op._parts[0], np.fft.rfft(table[1 : b + 1], 2 * b))
+        if math.log2(b // _MIN_PART) % 2 == 0:
+            assert last == (b // 4, b, 2 * b)
+            values = np.random.default_rng(n).standard_normal(n + 1)
+            d = np.diff(values) / (1.0 / n)
+            level = np.fft.irfft(np.fft.rfft(d[:b], 2 * b) * np.fft.rfft(table[1 : b + 1], 2 * b), 2 * b)
+            out = op(values)[b // 4 + 1 : b + 1]
+            assert out.tobytes() == (level[b // 4 : b] * op._scale).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 100, _DIRECT_N])
     def test_direct_sum_up_to_crossover(self, n):
@@ -429,8 +473,11 @@ class TestDiscreteOp:
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    # n above _DIRECT_N takes the FFT levels in the full apply
-    @pytest.mark.parametrize("n_range", [(4, 96), (1025, 1025), (3000, 3000), *((n, n) for n in LEVEL_EDGES)])
+    # n above _DIRECT_N takes the FFT levels in the full apply, and above
+    # _MIN_PART the partitions
+    @pytest.mark.parametrize(
+        "n_range", [(4, 96), (1025, 1025), (3000, 3000), *((n, n) for n in LEVEL_EDGES), (4097, 4097), (8193, 8193)]
+    )
     def test_single_node_matches_full_apply(self, n_range, s, corrected, base, seed, data):
         n = data.draw(st.integers(*n_range))
         rng = np.random.default_rng(seed)
@@ -469,7 +516,8 @@ class TestDiscreteOp:
             assert abs(out[r] - ref) <= 1e-14 * _rounding_scale(row, s, n)
 
     # n = 1..9: cells = min(CORRECTION_CELLS, n - 1) shrinks the second
-    # differences; 129, 513 and 4097 end in a one-node FFT level
+    # differences; 129 ends in a one-node FFT level, 513 and 4097 in a
+    # one-node last partition
     @pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 128, 129, 513, 4097])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("base", [None, -0.5])
@@ -491,6 +539,20 @@ class TestDiscreteOp:
         ref[: m + 1] = np.convolve(d[:m], op._table[: m + 1])[: m + 1]
         for lo, hi, size, table_fft in op._levels:
             ref[lo + 1 : hi + 1] = np.fft.irfft(np.fft.rfft(d[:hi], size) * table_fft, size)[lo:hi]
+        count, b = op._parts.shape[0], op._parts.shape[1] - 1
+        if count:
+            # partition q of the zero-padded slopes against partition p of the
+            # table, summed from q = m down to 0, then overlap-added
+            parts = np.fft.rfft(np.concatenate((d, np.zeros(count * b - n))).reshape(count, b), 2 * b)
+            z = []
+            for m in range(count):
+                z_fft = parts[m] * op._parts[0]
+                for q in range(m - 1, -1, -1):
+                    z_fft = z_fft + op._parts[m - q] * parts[q]
+                z.append(np.fft.irfft(z_fft, 2 * b))
+            ref[op._tail_lo + 1 : b + 1] = z[0][op._tail_lo : b]
+            for m in range(1, count):
+                ref[m * b + 1 : (m + 1) * b + 1] = (z[m][:b] + z[m - 1][b:])[: n - m * b]
         ref *= op._scale
         ref[1:] += op._block[1:] @ np.diff(values[:cells + 2], 2)
         if base is not None:

@@ -10,29 +10,30 @@ column.
 
 The slope integral is a causal convolution with the table.  Its first
 ``_DIRECT_N + 1`` outputs are summed directly (``np.convolve``), so up to
-n = ``_DIRECT_N`` the result is that sum bit for bit.  Past that a head of
-FFT levels (lo, hi], lo = 128, 512, 2048, ... and hi = min(4 lo, b), each
-one zero-padded real FFT of the slopes up to hi against the table up to hi,
-reaches the partition length b (b = n up to n = 512, where the head is all
-there is).  Outputs past b come from at most eight partitions of length
-b, sectioned convolution with the block layout of Hairer, Lubich & Schlichte
-(SIAM J. Sci. Stat. Comput. 6, 1985): the slopes' partitions D_q and the
-table's T_p, each transformed at length 2b, give partition m of the output
-as the inverse transform of Z_m = sum_{p+q=m} D_q T_p, overlap-added with
-its neighbour's.  The head's last level, (lo, b], is read from partition
-0's product, so outputs 0..512 are the same for every n.  An apply costs
+n = ``_DIRECT_N`` the result is that sum bit for bit.  Past that it is one
+list of stages, sectioned convolution in the block layout of Hairer, Lubich
+& Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  Stage (lo, b, count)
+makes outputs lo+1..min(n, count b) from the first ``count`` partitions of
+length b of the slopes, D_q, and of the table, T_p, each transformed at
+length 2b: block m of its outputs is the inverse transform of Z_m =
+sum_{p+q=m} D_q T_p, overlap-added with its neighbour's.  The stages start
+at lo = 128 and each ends where the next begins.  All but the last are one
+partition of b = 4 lo (lo = 128, 512, 2048, ...); the last covers the rest
+with at most eight partitions of length top, the smallest power of two
+>= n/8, at least 512 and at most n rounded up to a power of two.  So
+outputs 0..512 are the same for every n >= 512.  An apply costs
 O(n log n).  FFT rounding scales with the largest product it sums, so an
-output's error scales with the products that reach its own level or
+output's error scales with the products that reach its own stage or
 partition, not the whole grid's: on smooth data the relative error at nodes
->= 3 stays below 5e-14 up to n = 65536.  The head levels and partitions
-depend on n alone, so the table's transforms are made once, with the
-operator (the partitions' in one batched ``rfft``), and every apply (such
-as a Picard sweep) transforms only its data: its partitions in one batched
-``rfft`` and one ``irfft``.  An apply allocates one complex and one real
-scratch, fixed when the operator is built.  The real one holds the slopes,
-zero-padded to whole partitions, then the partition products and their
-inverse transforms, then the start correction's product and the base-point
-term; the head levels write past the slopes (``numpy.fft``'s ``out=``,
+>= 3 stays below 5e-14 up to n = 65536.  The stages depend on n alone, so
+the table's transforms are made once, with the operator, in one batched
+``rfft`` per stage, and every apply (such as a Picard sweep) transforms
+only its data: per stage one batched ``rfft`` and one ``irfft``.  An apply
+allocates one complex and one real scratch, fixed when the operator is
+built.  The real one holds the slopes, which the last stage zero-pads to
+whole partitions; each stage's inverse transforms go at its end, the last
+stage's over the slopes and its partition products; then the start
+correction's product and the base-point term (``numpy.fft``'s ``out=``,
 numpy >= 2.0).  The scratch is the apply's own, so an apply never writes
 to the operator.
 
@@ -65,9 +66,9 @@ __all__ = [
 # cells refit with the sqrt term; fixed, so operators stay linear in f
 CORRECTION_CELLS = 8
 
-# outputs 0.._DIRECT_N are the direct sum.  Past it the head's FFT levels
-# (lo, _LEVEL_RATIO lo] reach the partition length b, and outputs past b come
-# from at most _MAX_PARTS partitions of b >= _MIN_PART, one 2b transform each
+# outputs 0.._DIRECT_N are the direct sum.  Past it each stage is one
+# partition of _LEVEL_RATIO lo, up to the last: at most _MAX_PARTS partitions
+# of a power of two >= _MIN_PART, one 2b transform each
 _DIRECT_N = 128
 _LEVEL_RATIO = 4
 _MIN_PART = _LEVEL_RATIO * _DIRECT_N
@@ -91,28 +92,22 @@ def _pwconst_kernel(s: float, n: int) -> np.ndarray:
     return v
 
 
-def _fft_size(m: int) -> int:
-    """The smallest 2^k or 3 2^(k-2) that is >= m."""
-    p = 1 << (m - 1).bit_length()
-    return 3 * p // 4 if 3 * p // 4 >= m else p
-
-
-def _levels(n: int) -> list[tuple[int, int, int]]:
-    """(lo, hi, size) per level: outputs lo+1..hi from the slopes d[:hi] and
-    table[1:hi+1] in one FFT of that size >= 2 hi - lo, so the circular
-    wrap-around lands below lo."""
-    levels, lo = [], _DIRECT_N
+def _stages(n: int) -> list[tuple[int, int, int]]:
+    """(lo, b, count) per stage: outputs lo+1..min(n, count b) from ``count``
+    partitions of length b of the slopes and the table, each transformed at
+    2b.  The stages start at lo = _DIRECT_N and each ends where the next
+    begins; all but the last are one partition of b = _LEVEL_RATIO lo, and
+    the last covers the rest with at most _MAX_PARTS of length ``top``, the
+    smallest power of two >= n / _MAX_PARTS, at least _MIN_PART and at most
+    n rounded up to a power of two."""
+    top = min(max(_MIN_PART, 1 << (-(-n // _MAX_PARTS) - 1).bit_length()), 1 << (n - 1).bit_length())
+    stages, lo = [], _DIRECT_N
     while lo < n:
-        hi = min(_LEVEL_RATIO * lo, n)
-        levels.append((lo, hi, _fft_size(2 * hi - lo)))
-        lo = hi
-    return levels
-
-
-def _part_length(n: int) -> int:
-    """Partition length b: the smallest power of two >= n / _MAX_PARTS, and at
-    least _MIN_PART, so n <= _MIN_PART takes the head's levels alone."""
-    return max(_MIN_PART, 1 << (-(-n // _MAX_PARTS) - 1).bit_length())
+        b = min(_LEVEL_RATIO * lo, top)
+        count = -(-n // b) if b == top else 1
+        stages.append((lo, b, count))
+        lo = count * b
+    return stages
 
 
 def _rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -205,9 +200,8 @@ class DiscreteOp:
     """I^s (s > 0) of the slopes of nodal values on n cells of width h.
     ``corrected`` adds the start correction, ``base_exponent`` e adds f(a)
     z^e/Gamma(e+1) (0.0 at the base node, where a negative power is infinite).
-    Holds the table's transform at each head level and per partition, the
-    node-indexed correction block (no columns when uncorrected) and the base
-    column."""
+    Holds the table's partition transforms per stage, the node-indexed
+    correction block (no columns when uncorrected) and the base column."""
 
     def __init__(self, s: float, n: int, h: float, base_exponent=None, corrected=True):
         self.n, self.h = n, h
@@ -219,23 +213,17 @@ class DiscreteOp:
             raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
         if hs == 0.0:
             raise ValueError(f"operator scale h^s underflows at h = {h:g}, s = {s:g}")
-        b = _part_length(n)
-        if n <= b:
-            # at most one level, (_DIRECT_N, n]; the real scratch holds the
-            # slopes, then its inverse transform
-            levels, self._parts = _levels(n), np.zeros((0, 1), complex)
-            size = max((size for *_, size in levels), default=1)
-            self._spectrum, self._signal = size // 2 + 1, n + size
-        else:
-            # the n = b operator's last level is (_tail_lo, b], read from
-            # partition 0's product; the table's partitions, zero-padded to
-            # whole ones, transformed at 2b in one call
-            *levels, (self._tail_lo, _, _) = _levels(b)
-            padded = np.zeros((-(-n // b), b))
-            padded.reshape(-1)[:n] = self._table[1:]
-            self._parts = np.fft.rfft(padded, 2 * b)
-            self._spectrum, self._signal = self._parts.size, 2 * padded.size
-        self._levels = [(lo, hi, size, np.fft.rfft(self._table[1 : hi + 1], size)) for lo, hi, size in levels]
+        # per stage the table's partitions, zero-padded past node n,
+        # transformed at 2b in one call
+        stages = _stages(n)
+        width = max((count * b for _, b, count in stages), default=0)
+        table = np.zeros(max(width, n))
+        table[:n] = self._table[1:]
+        self._stages = [
+            (lo, b, count, np.fft.rfft(table[: count * b].reshape(count, b), 2 * b)) for lo, b, count in stages
+        ]
+        self._spectrum = max((count * (b + 1) for _, b, count in stages), default=0)
+        self._signal = max(n + 1, 2 * width)
         self._block = _correction_block(s, n, h) if corrected else np.zeros((n + 1, 0))
         self._base = None
         if base_exponent is not None:
@@ -254,43 +242,41 @@ class DiscreteOp:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """The operator at all n + 1 nodes; exactly 0.0 at node 0."""
-        n, parts = self.n, self._parts
-        count, b = parts.shape[0], parts.shape[1] - 1
+        n = self.n
         # one spectrum and one real scratch per apply.  The real one holds
-        # the slopes (zero-padded to whole partitions), then the partition
-        # products and their inverse transforms, then the correction and the
-        # base term; the head levels' inverse transforms go past the slopes
+        # the slopes, which the last stage zero-pads to whole partitions, and
+        # each stage's inverse transforms at its end: past the slopes that
+        # later stages read, and in the last stage over them and its
+        # partition products.  Then it holds the correction and the base term
         spectrum = np.empty(self._spectrum, complex)
         signal = np.empty(self._signal)
-        padded = max(n, count * b)
-        second = self._differences(values, out=signal[:n])[1]
-        d = signal[:padded]
-        d[n:] = 0.0
+        d, second = self._differences(values, out=signal[:n])
         d /= self.h
         m = min(n, _DIRECT_N)
         out = np.empty(n + 1)
         out[: m + 1] = np.convolve(d[:m], self._table[: m + 1])[: m + 1]
-        for lo, hi, size, table_fft in self._levels:
-            d_fft = np.fft.rfft(d[:hi], size, out=spectrum[: size // 2 + 1])
-            d_fft *= table_fft
-            out[lo + 1 : hi + 1] = np.fft.irfft(d_fft, size, out=signal[padded : padded + size])[lo:hi]
-        if count:
+        for lo, b, count, parts in self._stages:
+            width = count * b
+            signal[n:width] = 0.0
+            z_fft = spectrum[: count * (b + 1)].reshape(count, b + 1)
+            np.fft.rfft(signal[:width].reshape(count, b), 2 * b, out=z_fft)
             # Z_m = sum_{p+q=m} D_q T_p, formed in place from the last row, so
             # row q still holds D_q when it is read; the products go where
             # the slopes were
-            z_fft = np.fft.rfft(d.reshape(count, b), 2 * b, out=spectrum.reshape(count, b + 1))
             products = signal[: 2 * (count - 1) * (b + 1)].view(complex).reshape(count - 1, b + 1)
             z_fft[-1] *= parts[0]
             for q in range(count - 2, -1, -1):
                 z_fft[q + 1 :] += np.multiply(parts[1 : count - q], z_fft[q], out=products[: count - 1 - q])
                 z_fft[q] *= parts[0]
-            z = np.fft.irfft(z_fft, 2 * b, out=signal.reshape(count, 2 * b))
+            z = np.fft.irfft(z_fft, 2 * b, out=signal[signal.size - 2 * width :].reshape(count, 2 * b))
             # output block m is the first half of z_m plus the second of z_m-1
-            out[self._tail_lo + 1 : b + 1] = z[0, self._tail_lo : b]
-            whole, rest = divmod(n - b, b)
+            hi = min(n, width)
+            first = min(hi, b)
+            out[lo + 1 : first + 1] = z[0, lo:first]
+            whole, rest = divmod(hi - first, b)
             np.add(z[1 : whole + 1, :b], z[:whole, b:], out=out[b + 1 : (whole + 1) * b + 1].reshape(whole, b))
             if rest:
-                np.add(z[whole + 1, :rest], z[whole, b : b + rest], out=out[(whole + 1) * b + 1 :])
+                np.add(z[whole + 1, :rest], z[whole, b : b + rest], out=out[(whole + 1) * b + 1 : hi + 1])
         out *= self._scale
         # rows 1..n only: the whole block's product rounds differently
         out[1:] += np.matmul(self._block[1:], second, out=signal[:n])

@@ -236,7 +236,10 @@ def _cmd_op(args):
 
 
 def _cmd_oracle(args):
-    kernel = kernel_from_id(args.kernel, (args.a, max(args.a, args.x) + 1e-9))
+    # past |x| ~ 9e6 the 1e-9 margin rounds away; the next float keeps the
+    # domain non-empty there and the end unchanged wherever the margin holds
+    end = max(args.a, args.x)
+    kernel = kernel_from_id(args.kernel, (args.a, max(end + 1e-9, math.nextafter(end, math.inf))))
     p = FracParams(args.mu, args.nu)
     if args.which in _POWER_FORMS:
         _, form = _POWER_FORMS[args.which]

@@ -555,6 +555,12 @@ COMMAND_TABLE = [
     ("error", "ml --alpha 1 --beta 2 --z -30"),
     ("error", "ml --alpha 0.5 --z 40"),
     ("error", "ml --alpha 0.5 --z 3 --max-terms 10"),
+    # oracles at x = a where a 1e-9 margin past x rounds away
+    ("ok", "oracle --which power-int --a 0 --x 0"),
+    ("ok", "oracle --which power-int --a 1e8 --x 1e8"),
+    ("ok", "oracle --which ml-eigen --a 5e7 --x 5e7"),
+    ("ok", "oracle --which power-hilfer --a 5e7 --x 5e7"),
+    ("ok", "oracle --which ml-psifrac --kernel log --a 2e7 --x 2e7"),
     # a zero rate gives E_mu(0) = 1 even where z^mu overflows
     ("ok", "op --kind integral --f ml:1000:0 --b 5"),
     ("ok", "op --kind integral --f one --b 5"),
@@ -629,6 +635,7 @@ class TestCommandTable:
         stdout = {argv: out for (_, argv), (_, out, _) in zip(COMMAND_TABLE, rows)}
         zero_rate = stdout["op --kind integral --f ml:1000:0 --b 5"]
         assert zero_rate == stdout["op --kind integral --f one --b 5"]
+        assert stdout["oracle --which power-int --a 1e8 --x 1e8"] == stdout["oracle --which power-int --a 0 --x 0"]
 
 
 class TestImportCost:

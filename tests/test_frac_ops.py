@@ -31,12 +31,13 @@ from psifrac._quadrature import (
     _FAR_CENTRE,
     _FAR_CHUNK,
     _LEVEL_RATIO,
+    _MAX_PARTS,
     _MIN_PART,
     _NEAR_K,
     _NEAR_NODES,
     _correction_block,
-    _levels,
     _pwconst_kernel,
+    _stages,
     fracint_values,
 )
 from psifrac.frac_ops import SKIP_BASE_NODES
@@ -252,20 +253,24 @@ class TestPsiIntegral:
         )
 
 
-# sizes at the level edges: the direct part alone, the first FFT level's first
-# and last sizes, the second level's first, a short second level (1024) and a
-# short third level (5001)
-LEVEL_EDGES = [_DIRECT_N, _DIRECT_N + 1, _LEVEL_RATIO * _DIRECT_N, _LEVEL_RATIO * _DIRECT_N + 1, 1024, 5001]
+# sizes at the stage edges: the direct part alone, the first stage's first
+# size, one whole partition of _MIN_PART and the first size with two, two
+# whole partitions (1024), and a one-partition stage (128, 512] followed by a
+# partial fifth partition of 1024 (5001)
+STAGE_EDGES = [_DIRECT_N, _DIRECT_N + 1, _MIN_PART, _MIN_PART + 1, 1024, 5001]
 
 
 class TestSlopeIntegral:
-    """The slope integral (direct part up to node _DIRECT_N, FFT levels past
+    """The slope integral (direct part up to node _DIRECT_N, FFT stages past
     it) against the direct causal sum as the reference."""
 
     @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
     # 1025, 2049, 4097, 8193 and 16385 end in a one-node partition; 3000,
-    # 4100 and 5001 in a partial one
-    @pytest.mark.parametrize("n", sorted({*LEVEL_EDGES, 1025, 2049, 3000, 4097, 4100, 8192, 8193, 16385}))
+    # 4100 and 5001 in a partial one; 200, 300 and 511 are one partial
+    # partition of 256 or 512
+    @pytest.mark.parametrize(
+        "n", sorted({*STAGE_EDGES, 200, 300, 511, 1025, 2049, 3000, 4097, 4100, 8192, 8193, 16385})
+    )
     def test_fft_matches_direct_sum(self, n, s):
         x = np.linspace(0.0, 1.0, n + 1)
         h = 1.0 / n
@@ -295,8 +300,8 @@ class TestSlopeIntegral:
     @pytest.mark.parametrize("n", [129, 513, 1025, 2049, 4100, 8193])
     def test_applies_share_no_state(self, n):
         # data A, then B, then A: the second A is bit-identical to the first
-        # and the first result is left as it was, so no level's or
-        # partition's scratch carries data from one apply into the next
+        # and the first result is left as it was, so no stage's scratch
+        # carries data from one apply into the next
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal(n + 1), 1e6 * rng.standard_normal(n + 1)
         op = DiscreteOp(0.5, n, 1.0 / n, base_exponent=-0.5)
@@ -309,8 +314,8 @@ class TestSlopeIntegral:
     @pytest.mark.parametrize("s", [0.05, 1.5])
     @pytest.mark.parametrize("n", [513, 2048, 4100, 65536])
     def test_outputs_to_first_level_end_unchanged(self, n, s):
-        # outputs 0..512 are the direct sum and the (128, 512] level at FFT
-        # length 1024, bit for bit, whatever partitions follow
+        # outputs 0..512 are the direct sum and the (128, 512] stage's first
+        # partition at FFT length 1024, bit for bit, whatever follows
         values = np.random.default_rng(n).standard_normal(n + 1)
         h = 1.0 / n
         d, table = np.diff(values) / h, _pwconst_kernel(s, n)
@@ -323,30 +328,38 @@ class TestSlopeIntegral:
         out = DiscreteOp(s, n, h, corrected=False)(values)
         assert out[: _MIN_PART + 1].tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 128, 512, 513, 2048, 4096, 4097, 4100, 8192, 16384, 16385, 65535, 65536])
+    @pytest.mark.parametrize(
+        "n", [1, 128, 129, 200, 511, 512, 513, 2048, 4096, 4097, 4100, 8192, 16384, 16385, 65535, 65536]
+    )
     def test_partition_rule(self, n):
-        # at most 8 partitions of a power of two b >= 512 cover n; the head is
-        # the n = b operator's levels, and where b = 512 4^k the last of them
-        # transforms d[:b] against table[1:b+1] at 2b, partition 0's product
+        # the stages run on from _DIRECT_N, each starting where the last
+        # ended, with power-of-two partitions: one of 4 lo per stage, then at
+        # most 8 of top, which end at or past n
+        stages = _stages(n)
+        if n <= _DIRECT_N:
+            assert stages == []
+        lo = _DIRECT_N
+        for start, b, count in stages:
+            assert start == lo and b & (b - 1) == 0
+            lo = count * b
+        if stages:
+            *head, (_, top, count) = stages
+            assert top == min(max(_MIN_PART, 2 ** math.ceil(math.log2(n / _MAX_PARTS))), 2 ** math.ceil(math.log2(n)))
+            assert all(count == 1 and b == _LEVEL_RATIO * start < top for start, b, count in head)
+            assert count <= _MAX_PARTS and (count - 1) * top < n <= count * top
+        # the operator holds each stage's table partitions, zero-padded past
+        # node n, transformed at 2b; a one-partition stage's outputs are
+        # one FFT of d[:b] against table[1:b+1] at 2b, bit for bit
         op = DiscreteOp(0.5, n, 1.0 / n, corrected=False)
-        count, b = op._parts.shape[0], op._parts.shape[1] - 1
-        if n <= _MIN_PART:
-            assert count == 0
-            assert [level[:3] for level in op._levels] == _levels(n)
-            return
-        assert b == max(_MIN_PART, 2 ** math.ceil(math.log2(math.ceil(n / 8))))
-        assert 2 <= count <= 8 and (count - 1) * b < n <= count * b
-        *head, last = _levels(b)
-        assert [level[:3] for level in op._levels] == head and op._tail_lo == last[0]
-        table = _pwconst_kernel(0.5, n)
-        assert np.array_equal(op._parts[0], np.fft.rfft(table[1 : b + 1], 2 * b))
-        if math.log2(b // _MIN_PART) % 2 == 0:
-            assert last == (b // 4, b, 2 * b)
-            values = np.random.default_rng(n).standard_normal(n + 1)
-            d = np.diff(values) / (1.0 / n)
-            level = np.fft.irfft(np.fft.rfft(d[:b], 2 * b) * np.fft.rfft(table[1 : b + 1], 2 * b), 2 * b)
-            out = op(values)[b // 4 + 1 : b + 1]
-            assert out.tobytes() == (level[b // 4 : b] * op._scale).tobytes()
+        table = np.concatenate((_pwconst_kernel(0.5, n)[1:], np.zeros(lo)))
+        values = np.random.default_rng(n).standard_normal(n + 1)
+        d, out = np.diff(values) / (1.0 / n), op(values)
+        assert [stage[:3] for stage in op._stages] == stages
+        for (start, b, count), (*_, parts) in zip(stages, op._stages):
+            assert np.array_equal(parts, np.fft.rfft(table[: count * b].reshape(count, b), 2 * b))
+            if count == 1 and b <= n:
+                level = np.fft.irfft(np.fft.rfft(d[:b], 2 * b) * np.fft.rfft(table[:b], 2 * b), 2 * b)
+                assert out[start + 1 : b + 1].tobytes() == (level[start:b] * op._scale).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 100, _DIRECT_N])
     def test_direct_sum_up_to_crossover(self, n):
@@ -473,10 +486,10 @@ class TestDiscreteOp:
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    # n above _DIRECT_N takes the FFT levels in the full apply, and above
-    # _MIN_PART the partitions
+    # n above _DIRECT_N takes the FFT stages in the full apply, and above
+    # _MIN_PART more than one partition
     @pytest.mark.parametrize(
-        "n_range", [(4, 96), (1025, 1025), (3000, 3000), *((n, n) for n in LEVEL_EDGES), (4097, 4097), (8193, 8193)]
+        "n_range", [(4, 96), (1025, 1025), (3000, 3000), *((n, n) for n in STAGE_EDGES), (4097, 4097), (8193, 8193)]
     )
     def test_single_node_matches_full_apply(self, n_range, s, corrected, base, seed, data):
         n = data.draw(st.integers(*n_range))
@@ -486,13 +499,18 @@ class TestDiscreteOp:
         op = DiscreteOp(s, n, h, base_exponent=base, corrected=corrected)
         full = op(values)
         # every row holds the same data, so row r gives node lo + r of the
-        # full apply; one block up to n = 1025, larger n go block by block
-        block = 1026
-        single = np.concatenate(
-            [op.rows(np.tile(values, (min(block, n + 1 - lo), 1)), lo) for lo in range(0, n + 1, block)]
-        )
-        assert full[0] == 0.0 and single[0] == 0.0
-        assert np.max(np.abs(single - full)) <= 1e-14 * _rounding_scale(values, s, n)
+        # full apply.  Every node up to n = 1025; past it, where a row costs
+        # O(n), the 33 nodes about node 0, each stage start, each partition
+        # boundary and node n
+        edges = {0, n}
+        for start, b, count in _stages(n):
+            edges |= {start, *range(b, count * b, b)}
+        windows = [(0, n)] if n <= 1025 else [(max(0, e - 16), min(n, e + 16)) for e in sorted(edges)]
+        bound = 1e-14 * _rounding_scale(values, s, n)
+        for lo, hi in windows:
+            single = op.rows(np.tile(values, (hi + 1 - lo, 1)), lo)
+            assert np.max(np.abs(single - full[lo : hi + 1])) <= bound, lo
+        assert full[0] == 0.0 and op.rows(values[None], 0)[0] == 0.0
 
     @settings(deadline=None, derandomize=True, max_examples=30)
     @given(
@@ -516,8 +534,8 @@ class TestDiscreteOp:
             assert abs(out[r] - ref) <= 1e-14 * _rounding_scale(row, s, n)
 
     # n = 1..9: cells = min(CORRECTION_CELLS, n - 1) shrinks the second
-    # differences; 129 ends in a one-node FFT level, 513 and 4097 in a
-    # one-node last partition
+    # differences; 129 is one partition of 256 holding one node past the
+    # direct part, 513 and 4097 end in a one-node last partition
     @pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 128, 129, 513, 4097])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("base", [None, -0.5])
@@ -537,22 +555,20 @@ class TestDiscreteOp:
         m = min(n, _DIRECT_N)
         ref = np.empty(n + 1)
         ref[: m + 1] = np.convolve(d[:m], op._table[: m + 1])[: m + 1]
-        for lo, hi, size, table_fft in op._levels:
-            ref[lo + 1 : hi + 1] = np.fft.irfft(np.fft.rfft(d[:hi], size) * table_fft, size)[lo:hi]
-        count, b = op._parts.shape[0], op._parts.shape[1] - 1
-        if count:
+        for lo, b, count, table_fft in op._stages:
             # partition q of the zero-padded slopes against partition p of the
-            # table, summed from q = m down to 0, then overlap-added
-            parts = np.fft.rfft(np.concatenate((d, np.zeros(count * b - n))).reshape(count, b), 2 * b)
+            # table, summed from q = m down to 0; output block m is z_m's first
+            # half plus z_m-1's second
+            parts = np.fft.rfft(np.concatenate((d, np.zeros(count * b)))[: count * b].reshape(count, b), 2 * b)
             z = []
             for m in range(count):
-                z_fft = parts[m] * op._parts[0]
+                z_fft = parts[m] * table_fft[0]
                 for q in range(m - 1, -1, -1):
-                    z_fft = z_fft + op._parts[m - q] * parts[q]
+                    z_fft = z_fft + table_fft[m - q] * parts[q]
                 z.append(np.fft.irfft(z_fft, 2 * b))
-            ref[op._tail_lo + 1 : b + 1] = z[0][op._tail_lo : b]
-            for m in range(1, count):
-                ref[m * b + 1 : (m + 1) * b + 1] = (z[m][:b] + z[m - 1][b:])[: n - m * b]
+            blocks = [z[0][:b]] + [z[m][:b] + z[m - 1][b:] for m in range(1, count)]
+            hi = min(n, count * b)
+            ref[lo + 1 : hi + 1] = np.concatenate(blocks)[lo:hi]
         ref *= op._scale
         ref[1:] += op._block[1:] @ np.diff(values[:cells + 2], 2)
         if base is not None:

@@ -1,10 +1,12 @@
 """Product-integration rules on uniform tau grids.
 
-One ``DiscreteOp`` per order and grid size: I^s of the piecewise-linear
-interpolant's piecewise-constant slopes, integrated exactly against the
-weight (tau_i - tau)^{s-1}/Gamma(s), optionally start-corrected, plus
-optionally the base-point power f(a) z^e/Gamma(e+1).  It is built once and
-holds everything that does not depend on the data: the table
+One ``DiscreteOp`` per order and grid size: the operator of that order on
+the piecewise-linear interpolant, an integral for order > 0 and a
+derivative for -1 < order < 0.  On the interpolant it is the base-point
+power f(a) z^order/Gamma(order+1) plus I^s, s = 1 + order, of the
+piecewise-constant slopes, integrated exactly against the weight
+(tau_i - tau)^{s-1}/Gamma(s) and optionally start-corrected.  It is built
+once and holds everything that does not depend on the data: the table
 m^s - (m-1)^s and its transforms, the start-correction block and the base
 column.
 
@@ -58,7 +60,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
-    "fracint_values",
     "trapezoid_cumulative",
     "CORRECTION_CELLS",
 ]
@@ -197,13 +198,17 @@ def _correction_block(s: float, n: int, h: float) -> np.ndarray:
 
 
 class DiscreteOp:
-    """I^s (s > 0) of the slopes of nodal values on n cells of width h.
-    ``corrected`` adds the start correction, ``base_exponent`` e adds f(a)
-    z^e/Gamma(e+1) (0.0 at the base node, where a negative power is infinite).
-    Holds the table's partition transforms per stage, the node-indexed
-    correction block (no columns when uncorrected) and the base column."""
+    """The operator of order ``order`` on the piecewise-linear interpolant of
+    nodal values on n cells of width h: I^order for order > 0, the derivative
+    of order -order for -1 < order < 0.  On the interpolant it is f(a)
+    z^order/Gamma(order+1) (0.0 at the base node, where a negative power is
+    infinite) plus I^s of its slopes, s = 1 + order.  ``base`` false drops
+    the power term, ``corrected`` adds the start correction.  Holds the
+    table's partition transforms per stage, the node-indexed correction block
+    (no columns when uncorrected) and the base column."""
 
-    def __init__(self, s: float, n: int, h: float, base_exponent=None, corrected=True):
+    def __init__(self, order: float, n: int, h: float, base=True, corrected=True):
+        s = 1.0 + order
         self.n, self.h = n, h
         self._table = _pwconst_kernel(s, n)
         try:
@@ -226,10 +231,10 @@ class DiscreteOp:
         self._signal = max(n + 1, 2 * width)
         self._block = _correction_block(s, n, h) if corrected else np.zeros((n + 1, 0))
         self._base = None
-        if base_exponent is not None:
+        if base:
             self._base = np.zeros(n + 1)
             z = np.arange(1, n + 1, dtype=float) * h
-            self._base[1:] = z**base_exponent / math.gamma(base_exponent + 1.0)
+            self._base[1:] = z**order / math.gamma(order + 1.0)
 
     def _differences(self, values: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """``np.diff(values)`` (into ``out`` if given) and the second
@@ -302,11 +307,6 @@ class DiscreteOp:
         if self._base is not None:
             out += values[:, 0] * self._base[lo:hi]
         return out
-
-
-def fracint_values(values: np.ndarray, s: float, h: float) -> np.ndarray:
-    """I^s of the piecewise-linear interpolant of ``values``; zero at node 0."""
-    return DiscreteOp(s + 1.0, values.size - 1, h, base_exponent=s, corrected=False)(values)
 
 
 def trapezoid_cumulative(values: np.ndarray, h: float) -> np.ndarray:

@@ -259,7 +259,12 @@ def _cmd_compare(args):
     p = FracParams(args.mu, args.nu)
     spec = closed_forms.PowerFunctionSpec(args.delta, kernel, args.a)
     power = funcs.resolve_spatial(f"power:{args.delta!r}", kernel, args.a)
-    n_list = [int(tok) for tok in args.n_list.split(",")]
+    n_list = []
+    for tok in args.n_list.split(","):
+        try:
+            n_list.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--n-list entry {tok!r} is not an integer") from None
     which = next(w for w, (kind, _) in _POWER_FORMS.items() if kind == args.opkind)
     if args.reference == "composed":
         which = "power-int"

@@ -9,22 +9,20 @@ All operators act in the transformed variable ``tau = psi(x)``.  With
 * two-type deriv    ``HD^{mu,nu} f = I^B (d/dtau) I^A f``
 * composed integral ``J^{mu,nu} f = D^A I^1 D^B f``
 
-The derivative-type operators are evaluated *exactly* on the interpolant:
-``d/dtau I^{s}[pw-linear f] = f(a) z^{s-1}/Gamma(s) + I^{s}[slopes]``,
+The operators are evaluated *exactly* on the piecewise-linear interpolant,
 and compositions are contracted with the exact index algebra of the
-piecewise-constant/power classes.  This removes the h-independent error
+piecewise-constant/power classes, so each is one ``DiscreteOp(order)`` of
+the quadrature module: ``f(a) z^order/Gamma(1+order) + I^{1+order}[slopes]``,
+its power term 0 at the base node.  This removes the h-independent error
 that finite differences of weakly singular stage outputs leave near ``a``
-(see the quadrature module for the remaining half-power correction).
+(see the quadrature module for the remaining half-power correction).  The
+order each operator passes:
 
-Contracted forms used below (``f0 = f(a)``, slopes from the interpolant):
-
-* ``D^p f        = f0 z^{-p}/Gamma(1-p)                + I^{1-p}[slopes]``
-* ``HD^{mu,nu} f = f0 z^{-mu}/Gamma(1-mu) [if A > 0]   + I^{1-mu}[slopes]``
-  (for ``A = 0`` the constant is annihilated: the inner stage is the
-  identity and d/dtau kills it)
-* ``J^{mu,nu} f  = f0 z^{mu}/Gamma(1+mu)               + I^{1+mu}[slopes]``
-
-Power terms with negative exponent are materialized as 0 at the base node.
+* ``I^p f``         ``p``, without the start correction
+* ``D^p f``         ``-p``
+* ``HD^{mu,nu} f``  ``-mu``, without the f(a) term if ``A = 0`` (the inner
+  stage is the identity and d/dtau kills the constant)
+* ``J^{mu,nu} f``   ``mu``
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 
 from . import _quadrature as quad
 from .errors import ResolutionError
-from .grids import SampledFunction, TransformedGrid, _frozen
+from .grids import SampledFunction, _frozen
 
 __all__ = [
     "FracParams",
@@ -105,7 +103,7 @@ def psi_integral(f: SampledFunction, p_mu: float, side: str = "left") -> Sampled
     """
     if not 0.0 < p_mu <= 2.0:
         raise ValueError(f"integral order must lie in (0, 2], got {p_mu}")
-    return _emit(f, quad.fracint_values(_oriented(f, side), p_mu, f.grid.h), side)
+    return _emit(f, quad.DiscreteOp(p_mu, f.grid.n, f.grid.h, corrected=False)(_oriented(f, side)), side)
 
 
 def psi_integral_order1(f: SampledFunction, side: str = "left") -> SampledFunction:
@@ -146,14 +144,9 @@ def psi_hilfer_derivative(
     if p.mu == 1.0:  # + 0.0 turns a -0.0 quotient into +0.0
         d = np.diff(_oriented(f, side)) / f.grid.h + 0.0
         return _emit(f, np.concatenate(([0.0], d)), side)
-    base = -p.mu if (1.0 - p.nu) * (1.0 - p.mu) > 0.0 else None  # inner order > 0
-    op = quad.DiscreteOp(1.0 - p.mu, f.grid.n, f.grid.h, base_exponent=base)
+    # the f(a) term stays only where the inner integral's order A is positive
+    op = quad.DiscreteOp(-p.mu, f.grid.n, f.grid.h, base=(1.0 - p.nu) * (1.0 - p.mu) > 0.0)
     return _emit(f, op(_oriented(f, side)), side)
-
-
-def _composed_op(p: FracParams, grid: TransformedGrid) -> quad.DiscreteOp:
-    """J^{mu,nu} on ``grid`` for every nu: f0 z^{mu}/Gamma(1+mu) + I^{1+mu}[slopes]."""
-    return quad.DiscreteOp(1.0 + p.mu, grid.n, grid.h, base_exponent=p.mu)
 
 
 def psi_frac_integral(
@@ -168,7 +161,7 @@ def psi_frac_integral(
     endpoint is exactly 0.
     """
     _require_resolution(f)
-    return _emit(f, _composed_op(p, f.grid)(_oriented(f, side)), side)
+    return _emit(f, quad.DiscreteOp(p.mu, f.grid.n, f.grid.h)(_oriented(f, side)), side)
 
 
 def relative_sup_error(

@@ -17,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError
-from .frac_ops import FracParams, _composed_op
+from ._quadrature import DiscreteOp
+from .frac_ops import FracParams
 from .grids import SampledFunction, TransformedGrid
 from .kernels import PsiKernel
 from .spaces import bound_constant_A
@@ -112,7 +113,7 @@ def picard_solve(
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = problem.grid()
-    op = _composed_op(problem.p, grid)
+    op = DiscreteOp(problem.p.mu, grid.n, grid.h)
     nodes = grid.x_nodes
     phi = SampledFunction.from_callable(grid, problem.phi).values
     if x0 is not None and x0.grid != grid:

@@ -515,6 +515,8 @@ COMMAND_TABLE = [
     ("ok", "op --kind hilfer --n 4165 --f power:2.5"),
     ("ok", "op --kind hilfer --mu 1 --nu 0.5 --n 5001 --f sin"),
     ("ok", "compare --op psi-frac --n-list 256,512"),
+    # an empty --n-list entry once gave int()'s own message
+    ("error", "compare --op psi-frac --n-list 128,,256"),
     ("ok", "volterra --n 256 --w linear:-1 --log volterra.log"),
     # tables cut into equal whole-row chunks of unequal size, formatted in
     # one workspace; the 8193-row table once ended in a one-row chunk
@@ -567,22 +569,63 @@ COMMAND_TABLE = [
 ]
 
 # runs the table's argv lists, read as JSON from stdin, through main with
-# each one's output captured; prints the exit codes and outputs, and the
-# scipy modules loaded, as JSON
+# each one's output captured; prints as JSON the exit codes and outputs, the
+# scipy modules loaded right after ``import psifrac.cli`` and at the end, and
+# in the blocked run two Mittag-Leffler values computed without scipy
 TABLE_SCRIPT = """\
 import contextlib, io, json, sys
 if sys.argv[1] == "blocked":
     sys.modules["scipy"] = None
+import psifrac
 from psifrac.cli import main
-rows = []
+
+def scipy_loaded():
+    return sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod)
+
+report = {"scipy_at_import": scipy_loaded(), "rows": []}
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    rows.append([code, out.getvalue(), err.getvalue()])
-scipy = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod)
-json.dump({"rows": rows, "scipy": scipy}, sys.stdout)
+    report["rows"].append((code, out.getvalue(), err.getvalue()))
+report["scipy"] = scipy_loaded()
+if sys.argv[1] == "blocked":
+    spec = psifrac.MalthusSpec(100.0, -3.0, psifrac.FracParams(0.5, 1.0),
+        psifrac.kernel_from_id("identity", (0.0, 100.0)), 100.0)
+    report["values"] = [float(psifrac.malthus_curve(spec, 4)[1][-1]),
+        float(psifrac.mittag_leffler(psifrac.MLParams(0.5), -10.0))]
+json.dump(report, sys.stdout)
 """
+
+
+def run_table(cwd, mode):
+    """The table script's report from one interpreter under -W error in
+    ``cwd``, its rows as (code, stdout, stderr) tuples, plus the files
+    written as "files"; ``mode`` "blocked" makes scipy unimportable."""
+    cwd.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", TABLE_SCRIPT, mode],
+        input=json.dumps([argv.split() for _, argv in COMMAND_TABLE]),
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    report = json.loads(run.stdout)
+    report["rows"] = [tuple(row) for row in report["rows"]]
+    report["files"] = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+    return report
+
+
+@pytest.fixture(scope="module")
+def command_table(tmp_path_factory):
+    """``run_table``'s report per mode, "blocked" and "open": the one pair
+    of interpreters that the table's and the import-cost checks read."""
+    root = tmp_path_factory.mktemp("command_table")
+    return {mode: run_table(root / mode, mode) for mode in ("blocked", "open")}
+
+
+def table_row(report, argv):
+    return report["rows"][[line for _, line in COMMAND_TABLE].index(argv)]
 
 
 def assert_cells_print_back(text, where):
@@ -598,28 +641,11 @@ def assert_cells_print_back(text, where):
 
 
 class TestCommandTable:
-    @staticmethod
-    def run_table(cwd, mode):
-        """The table's (code, stdout, stderr) rows, the scipy modules loaded
-        and the files written, from one interpreter under -W error in
-        ``cwd``; ``mode`` "blocked" makes scipy unimportable."""
-        cwd.mkdir()
-        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
-        run = subprocess.run(
-            [sys.executable, "-W", "error", "-c", TABLE_SCRIPT, mode],
-            input=json.dumps([argv.split() for _, argv in COMMAND_TABLE]),
-            cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert (run.returncode, run.stderr) == (0, "")
-        report = json.loads(run.stdout)
-        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
-        return [tuple(row) for row in report["rows"]], report["scipy"], files
-
-    def test_runs_without_scipy_or_warnings(self, tmp_path):
-        blocked = self.run_table(tmp_path / "blocked", "blocked")
-        rows, scipy, files = self.run_table(tmp_path / "open", "open")
-        assert blocked == (rows, [], files)
-        assert scipy == []
+    def test_runs_without_scipy_or_warnings(self, command_table):
+        blocked, opened = command_table["blocked"], command_table["open"]
+        rows, files = opened["rows"], opened["files"]
+        assert (blocked["rows"], blocked["scipy"], blocked["files"]) == (rows, [], files)
+        assert opened["scipy"] == []
         for (shape, argv), (code, out, err) in zip(COMMAND_TABLE, rows):
             if shape == "ok":
                 assert (code, err) == (0, ""), argv
@@ -639,84 +665,51 @@ class TestCommandTable:
 
 
 class TestImportCost:
-    @staticmethod
-    def loaded_after_cli_import(*packages):
-        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
-        code = (
-            "import sys, psifrac, psifrac.cli; "
-            "print(sorted(m for m in sys.modules "
-            f"if '.'.join(m.split('.')[:2]) in {packages!r}))"
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=120, check=True,
-        )
-        return run.stdout.strip()
+    """What ``import psifrac.cli`` loads, and what runs with scipy blocked,
+    read from the command table's two interpreters."""
 
-    def test_cli_import_loads_no_scipy_signal_or_fft(self):
+    @staticmethod
+    def loaded_after_cli_import(command_table, *packages):
+        loaded = command_table["open"]["scipy_at_import"]
+        return [m for m in loaded if ".".join(m.split(".")[:2]) in packages]
+
+    def test_cli_import_loads_no_scipy_signal_or_fft(self, command_table):
         # scipy.signal roughly doubles the CLI's import time; the slope
         # integral's FFT is numpy.fft, which numpy itself loads
-        assert self.loaded_after_cli_import("scipy.signal", "scipy.fft") == "[]"
+        assert self.loaded_after_cli_import(command_table, "scipy.signal", "scipy.fft") == []
 
-    def test_cli_import_loads_no_scipy_special(self):
+    def test_cli_import_loads_no_scipy_special(self, command_table):
         # scipy.special costs ~0.3 s to import
-        assert self.loaded_after_cli_import("scipy.special") == "[]"
+        assert self.loaded_after_cli_import(command_table, "scipy.special") == []
 
-    def test_mittag_leffler_needs_only_numpy(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
-        code = (
-            "import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "import psifrac\n"
-            "from psifrac.cli import main\n"
-            "spec = psifrac.MalthusSpec(100.0, -3.0, psifrac.FracParams(0.5, 1.0),\n"
-            "    psifrac.kernel_from_id('identity', (0.0, 100.0)), 100.0)\n"
-            "print(psifrac.malthus_curve(spec, 4)[1][-1])\n"
-            "print(psifrac.mittag_leffler(psifrac.MLParams(0.5), -10.0))\n"
-            "sys.exit(main(['ml', '--alpha', '0.5', '--z=-10']))\n"
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=120,
-        )
-        assert (run.returncode, run.stderr) == (0, "")
-        lines = run.stdout.splitlines()
-        assert abs(float(lines[0]) - 100.0 * erfcx(30.0)) <= 1e-12 * 100.0 * erfcx(30.0)
-        assert abs(float(lines[1]) - erfcx(10.0)) <= 1e-12 * erfcx(10.0)
-        assert lines[2:] == [f"value = {_fmt(float(lines[1]))}", "terms = 21"]
+    def test_mittag_leffler_needs_only_numpy(self, command_table):
+        blocked = command_table["blocked"]
+        curve_end, ml = blocked["values"]
+        assert abs(curve_end - 100.0 * erfcx(30.0)) <= 1e-12 * 100.0 * erfcx(30.0)
+        assert abs(ml - erfcx(10.0)) <= 1e-12 * erfcx(10.0)
+        code, out, err = table_row(blocked, "ml --alpha 0.5 --z -10")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"value = {_fmt(ml)}", "terms = 21"]
 
     @pytest.mark.parametrize(
         "argv",
         [
             # near rows, moment-expansion rows and the FFT slope integral
-            ["op", "--kind", "psi-frac", "--n", "4096", "--f", "sin"],
-            ["volterra", "--n", "256", "--w", "linear:-1"],
+            "op --kind psi-frac --n 4096 --f sin",
+            "volterra --n 256 --w linear:-1 --log volterra.log",
         ],
         ids=["op", "volterra"],
     )
-    def test_corrected_operators_need_only_numpy(self, tmp_path, capsys, argv):
+    def test_corrected_operators_need_only_numpy(self, command_table, tmp_path, monkeypatch, capsys, argv):
+        # the blocked run's row, against the same command in this process;
         # volterra's iteration log goes to a file, so stderr carries errors only
-        def with_log(name):
-            return argv + ["--log", str(tmp_path / name)] if argv[0] == "volterra" else argv
-
-        code, out, err = run_cli(capsys, *with_log("in_process.log"))
+        blocked = command_table["blocked"]
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv.split())
         assert (code, err) == (0, "")
-        env = dict(os.environ, PYTHONPATH=str(Path(psifrac.__file__).parents[1]))
-        script = (
-            "import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from psifrac.cli import main\n"
-            f"sys.exit(main({with_log('blocked.log')!r}))\n"
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True,
-            text=True, timeout=120,
-        )
-        assert (run.returncode, run.stderr) == (0, "")
-        assert run.stdout == out
-        if argv[0] == "volterra":
-            logs = [(tmp_path / name).read_text() for name in ("in_process.log", "blocked.log")]
-            assert logs[0] == logs[1]
+        assert table_row(blocked, argv) == (0, out, "")
+        if argv.startswith("volterra"):
+            assert (tmp_path / "volterra.log").read_bytes() == blocked["files"]["volterra.log"]
 
 
 class TestConfigFile:
@@ -1001,6 +994,12 @@ class TestCompareCommand:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         errs = [float(r[1]) for r in rows]
         assert errs[1] < errs[0] <= 1e-3
+
+    @pytest.mark.parametrize("n_list, bad", [("128,,256", "''"), ("128,2.5", "'2.5'"), ("", "''")])
+    def test_bad_n_list_entry_is_named(self, n_list, bad):
+        args = build_parser().parse_args(["compare", "--op", "integral", "--n-list", n_list])
+        with pytest.raises(ValueError, match=f"^--n-list entry {bad} is not an integer$"):
+            args.run(args)
 
     def test_linear_data_is_exact(self, capsys):
         # the interpolant of linear data is the data: zero quadrature error

@@ -38,7 +38,6 @@ from psifrac._quadrature import (
     _correction_block,
     _pwconst_kernel,
     _stages,
-    fracint_values,
 )
 from psifrac.frac_ops import SKIP_BASE_NODES
 
@@ -129,7 +128,8 @@ class TestPsiIntegral:
     def test_weights_nonnegative(self, s):
         # column k is the rule's response to a unit value at node k, i.e.
         # its weight on node k at every evaluation node
-        w = np.column_stack([fracint_values(e, s, 1.0) for e in np.eye(65)])
+        op = DiscreteOp(s, 64, 1.0, corrected=False)
+        w = np.column_stack([op(e) for e in np.eye(65)])
         assert np.all(w >= 0.0)
 
     @settings(deadline=None, derandomize=True)
@@ -161,36 +161,38 @@ class TestPsiIntegral:
             w[i, :i] += a[i - 1 :: -1]
             w[i, 1 : i + 1] += b[i - 1 :: -1]
         w *= h**s / G(s)
-        out = fracint_values(values, s, h)
+        out = DiscreteOp(s, n, h, corrected=False)(values)
         # rounding scales with the summed magnitudes, not with the sum,
         # which mixed-sign data can make small
         assert np.max(np.abs(out - w @ values)) <= 1e-12 * np.max(w @ np.abs(values))
 
     @settings(deadline=None, derandomize=True, max_examples=20)
     @given(
-        s=st.floats(0.05, 2.0),
+        order=st.floats(-0.95, 1.0),
         n=st.integers(1, 32),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_slopes_rule_matches_cellwise_reference(self, s, n, seed):
-        self._check_slopes_rule(s, n, seed)
+    def test_slopes_rule_matches_cellwise_reference(self, order, n, seed):
+        self._check_slopes_rule(order, n, seed)
 
     # past _NEAR_K nodes the correction block comes from the moment expansion
     @settings(deadline=None, derandomize=True, max_examples=3)
     @given(
-        s=st.floats(0.05, 2.0),
+        order=st.floats(-0.95, 1.0),
         n=st.integers(_NEAR_K + 1, _NEAR_K + 40),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_slopes_rule_matches_cellwise_reference_past_near_field(self, s, n, seed):
-        self._check_slopes_rule(s, n, seed)
+    def test_slopes_rule_matches_cellwise_reference_past_near_field(self, order, n, seed):
+        self._check_slopes_rule(order, n, seed)
 
     @staticmethod
-    def _check_slopes_rule(s, n, seed):
-        # the slope rule integrates the piecewise-constant slopes exactly;
-        # on each correction cell the three-point refit's sqrt coefficient
+    def _check_slopes_rule(order, n, seed):
+        # the operator of order s - 1 without its base column is I^s of the
+        # slopes, which the slope rule integrates exactly; on each
+        # correction cell the three-point refit's sqrt coefficient
         # a scales the exact integral of the weight against
         # d/du[sqrt(u) - its chord].  Formed cell by cell at 30 digits.
+        s = 1.0 + order
         values = np.random.default_rng(seed).standard_normal(n + 1)
         ref = np.zeros(n + 1)
         scale = np.zeros(n + 1)
@@ -221,7 +223,7 @@ class TestPsiIntegral:
                         total += a[j] * (inv_sqrt / 2 - chord * flat)
                 ref[i] = total / mpmath.gamma(sm)
                 scale[i] = absolute / mpmath.gamma(sm)
-        out = DiscreteOp(s, n, 1.0 / n)(values)
+        out = DiscreteOp(order, n, 1.0 / n, base=False)(values)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(scale)
 
     @pytest.mark.parametrize("s", [0.2, 0.5, 1.0, 1.3, 2.0])
@@ -272,6 +274,10 @@ class TestSlopeIntegral:
         "n", sorted({*STAGE_EDGES, 200, 300, 511, 1025, 2049, 3000, 4097, 4100, 8192, 8193, 16385})
     )
     def test_fft_matches_direct_sum(self, n, s):
+        # the operator of order s - 1 without its base column: I^s of the
+        # slopes, with the slope order 1 + (s - 1) that it forms
+        order = s - 1.0
+        s = 1.0 + order
         x = np.linspace(0.0, 1.0, n + 1)
         h = 1.0 / n
         scale = h**s / G(s + 1.0)
@@ -283,7 +289,7 @@ class TestSlopeIntegral:
         }
         # one operator for all three: the later applies reuse the table
         # transforms that the first one made
-        op = DiscreteOp(s, n, h, corrected=False)
+        op = DiscreteOp(order, n, h, base=False, corrected=False)
         for name, values in data.items():
             d = np.diff(values) / h
             fast = op(values)
@@ -304,7 +310,7 @@ class TestSlopeIntegral:
         # carries data from one apply into the next
         rng = np.random.default_rng(n)
         a, b = rng.standard_normal(n + 1), 1e6 * rng.standard_normal(n + 1)
-        op = DiscreteOp(0.5, n, 1.0 / n, base_exponent=-0.5)
+        op = DiscreteOp(-0.5, n, 1.0 / n)
         first = op(a)
         kept = first.copy()
         op(b)
@@ -315,7 +321,11 @@ class TestSlopeIntegral:
     @pytest.mark.parametrize("n", [513, 2048, 4100, 65536])
     def test_outputs_to_first_level_end_unchanged(self, n, s):
         # outputs 0..512 are the direct sum and the (128, 512] stage's first
-        # partition at FFT length 1024, bit for bit, whatever follows
+        # partition at FFT length 1024, bit for bit, whatever follows.  The
+        # table is the operator's own, at s = 1 + (s - 1): below s = 0.5 that
+        # differs from s in the last bit
+        order = s - 1.0
+        s = 1.0 + order
         values = np.random.default_rng(n).standard_normal(n + 1)
         h = 1.0 / n
         d, table = np.diff(values) / h, _pwconst_kernel(s, n)
@@ -325,7 +335,7 @@ class TestSlopeIntegral:
         ref[_DIRECT_N + 1 :] = level[_DIRECT_N:_MIN_PART]
         ref *= h**s / G(s + 1.0)
         ref[0] = 0.0
-        out = DiscreteOp(s, n, h, corrected=False)(values)
+        out = DiscreteOp(order, n, h, base=False, corrected=False)(values)
         assert out[: _MIN_PART + 1].tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize(
@@ -350,7 +360,7 @@ class TestSlopeIntegral:
         # the operator holds each stage's table partitions, zero-padded past
         # node n, transformed at 2b; a one-partition stage's outputs are
         # one FFT of d[:b] against table[1:b+1] at 2b, bit for bit
-        op = DiscreteOp(0.5, n, 1.0 / n, corrected=False)
+        op = DiscreteOp(-0.5, n, 1.0 / n, base=False, corrected=False)
         table = np.concatenate((_pwconst_kernel(0.5, n)[1:], np.zeros(lo)))
         values = np.random.default_rng(n).standard_normal(n + 1)
         d, out = np.diff(values) / (1.0 / n), op(values)
@@ -365,10 +375,11 @@ class TestSlopeIntegral:
     def test_direct_sum_up_to_crossover(self, n):
         values = np.random.default_rng(n).standard_normal(n + 1)
         h = 1.0 / n
-        for s in (0.05, 0.5, 1.5, 1.95):
+        for order in (-0.95, -0.5, 0.5, 0.95):
+            s = 1.0 + order
             ref = np.convolve(np.diff(values) / h, _pwconst_kernel(s, n))[: n + 1]
             ref *= h**s / G(s + 1.0)
-            assert np.array_equal(DiscreteOp(s, n, h, corrected=False)(values), ref)
+            assert np.array_equal(DiscreteOp(order, n, h, base=False, corrected=False)(values), ref)
 
     @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
     @pytest.mark.parametrize("n", [1024, 4096, 16384, 65536])
@@ -379,9 +390,11 @@ class TestSlopeIntegral:
         x = np.linspace(0.0, 1.0, n + 1)
         h = 1.0 / n
         nodes = np.unique(np.geomspace(3, n, 120).round().astype(int))
+        order = s - 1.0
+        s = 1.0 + order
         table = _pwconst_kernel(s, n).astype(np.longdouble)
         for name, values in {"x^2.5": x**2.5, "sin": np.sin(x)}.items():
-            out = DiscreteOp(s, n, h, corrected=False)(values)
+            out = DiscreteOp(order, n, h, base=False, corrected=False)(values)
             d = (np.diff(values) / h).astype(np.longdouble)
             ref = np.array([np.dot(d[:k], table[k:0:-1]) for k in nodes]) * (h**s / G(s + 1.0))
             rel = np.abs((out[nodes] - ref) / ref)
@@ -470,19 +483,19 @@ class TestStartCorrection:
             assert np.all(np.abs(block - ref) <= 4e-16 * np.abs(ref)), n
 
 
-def _rounding_scale(values, s, n):
-    # rounding scales with the summed magnitudes W|d|: the uncorrected rule on
-    # data whose slopes are |d|
+def _rounding_scale(values, order, n):
+    # rounding scales with the summed magnitudes W|d|: the uncorrected slope
+    # integral on data whose slopes are |d|
     abs_slope_data = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(values)))))
-    return np.max(DiscreteOp(s, n, 1.0 / n, corrected=False)(abs_slope_data))
+    return np.max(DiscreteOp(order, n, 1.0 / n, base=False, corrected=False)(abs_slope_data))
 
 
 class TestDiscreteOp:
     @settings(deadline=None, derandomize=True, max_examples=30)
     @given(
-        s=st.floats(1e-6, 2.0),
+        order=st.floats(-1.0 + 1e-6, 1.0),
         corrected=st.booleans(),
-        base=st.one_of(st.none(), st.floats(-0.95, 1.0)),
+        base=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
@@ -491,12 +504,12 @@ class TestDiscreteOp:
     @pytest.mark.parametrize(
         "n_range", [(4, 96), (1025, 1025), (3000, 3000), *((n, n) for n in STAGE_EDGES), (4097, 4097), (8193, 8193)]
     )
-    def test_single_node_matches_full_apply(self, n_range, s, corrected, base, seed, data):
+    def test_single_node_matches_full_apply(self, n_range, order, corrected, base, seed, data):
         n = data.draw(st.integers(*n_range))
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(n + 1)
         h = 1.0 / n
-        op = DiscreteOp(s, n, h, base_exponent=base, corrected=corrected)
+        op = DiscreteOp(order, n, h, base=base, corrected=corrected)
         full = op(values)
         # every row holds the same data, so row r gives node lo + r of the
         # full apply.  Every node up to n = 1025; past it, where a row costs
@@ -506,7 +519,7 @@ class TestDiscreteOp:
         for start, b, count in _stages(n):
             edges |= {start, *range(b, count * b, b)}
         windows = [(0, n)] if n <= 1025 else [(max(0, e - 16), min(n, e + 16)) for e in sorted(edges)]
-        bound = 1e-14 * _rounding_scale(values, s, n)
+        bound = 1e-14 * _rounding_scale(values, order, n)
         for lo, hi in windows:
             single = op.rows(np.tile(values, (hi + 1 - lo, 1)), lo)
             assert np.max(np.abs(single - full[lo : hi + 1])) <= bound, lo
@@ -514,32 +527,35 @@ class TestDiscreteOp:
 
     @settings(deadline=None, derandomize=True, max_examples=30)
     @given(
-        s=st.floats(1e-6, 2.0),
+        order=st.floats(-1.0 + 1e-6, 1.0),
         corrected=st.booleans(),
-        base=st.one_of(st.none(), st.floats(-0.95, 1.0)),
+        base=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_rows_read_their_own_data(self, s, corrected, base, seed, data):
+    def test_rows_read_their_own_data(self, order, corrected, base, seed, data):
         # a block from lo > 0 that ends before node n: node lo + r reads row r
         n = data.draw(st.integers(4, 1100))
         lo = data.draw(st.integers(1, n - 1))
         count = data.draw(st.integers(1, n - lo))
         values = np.random.default_rng(seed).standard_normal((count, n + 1))
-        op = DiscreteOp(s, n, 1.0 / n, base_exponent=base, corrected=corrected)
+        op = DiscreteOp(order, n, 1.0 / n, base=base, corrected=corrected)
         out = op.rows(values, lo)
         assert out.shape == (count,)
         for r, row in enumerate(values):
             ref = op(row)[lo + r]
-            assert abs(out[r] - ref) <= 1e-14 * _rounding_scale(row, s, n)
+            assert abs(out[r] - ref) <= 1e-14 * _rounding_scale(row, order, n)
 
     # n = 1..9: cells = min(CORRECTION_CELLS, n - 1) shrinks the second
     # differences; 129 is one partition of 256 holding one node past the
     # direct part, 513 and 4097 end in a one-node last partition
     @pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 128, 129, 513, 4097])
     @pytest.mark.parametrize("corrected", [False, True])
-    @pytest.mark.parametrize("base", [None, -0.5])
-    def test_apply_matches_np_diff_formulas(self, n, corrected, base):
+    # ids name the base column's exponent, the order, or None without one
+    @pytest.mark.parametrize(
+        "order, base", [pytest.param(0.3, False, id="None"), pytest.param(-0.5, True, id="-0.5")]
+    )
+    def test_apply_matches_np_diff_formulas(self, n, corrected, order, base):
         # the apply forms its differences by direct subtraction and writes into
         # its own scratch: bit for bit the np.diff formulas with fresh
         # temporaries written out here, and the data are left as they were
@@ -547,8 +563,8 @@ class TestDiscreteOp:
         values = rng.standard_normal(n + 1)
         block = rng.standard_normal((min(n + 1, 300), n + 1))
         kept, kept_block = values.copy(), block.copy()
-        s, h = 1.3, 1.0 / n
-        op = DiscreteOp(s, n, h, base_exponent=base, corrected=corrected)
+        h = 1.0 / n
+        op = DiscreteOp(order, n, h, base=base, corrected=corrected)
         cells = min(CORRECTION_CELLS, n - 1) if corrected else 0
 
         d = np.diff(values) / h
@@ -571,7 +587,7 @@ class TestDiscreteOp:
             ref[lo + 1 : hi + 1] = np.concatenate(blocks)[lo:hi]
         ref *= op._scale
         ref[1:] += op._block[1:] @ np.diff(values[:cells + 2], 2)
-        if base is not None:
+        if base:
             ref += values[0] * op._base
         ref[0] = 0.0
         assert op(values).tobytes() == ref.tobytes()
@@ -581,17 +597,18 @@ class TestDiscreteOp:
             hi = lo + block.shape[0]
             rows = np.einsum("ij,ij->i", np.diff(block), op._row_weights[lo:hi]) / h
             rows += np.einsum("ij,ij->i", op._block[lo:hi], np.diff(block[:, :cells + 2], 2))
-            if base is not None:
+            if base:
                 rows += block[:, 0] * op._base[lo:hi]
             assert op.rows(block, lo).tobytes() == rows.tobytes(), lo
         assert np.array_equal(values, kept) and np.array_equal(block, kept_block)
 
     # n = 3000 takes the FFT levels; the correction reads the data's own
-    # second differences, so a constant gives exactly zero at every node
+    # second differences, so without the base column a constant gives
+    # exactly zero at every node, for every slope order s
     @pytest.mark.parametrize("n", [64, 3000])
     @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
     def test_constant_data_give_exact_zero(self, s, n):
-        out = DiscreteOp(s, n, 1.0 / n)(np.ones(n + 1))
+        out = DiscreteOp(s - 1.0, n, 1.0 / n, base=False)(np.ones(n + 1))
         assert np.all(out == 0.0)
 
 
@@ -821,8 +838,8 @@ class TestPsiFracIntegral:
         outs = [psi_frac_integral(f, FracParams(mu, nu)).values for nu in (0.0, 0.37, 1.0)]
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
         s, h = 1.0 + mu, grid.h
-        plain = DiscreteOp(s, n, h, corrected=False)
-        correction = DiscreteOp(s, n, h)(f.values) - plain(f.values)
+        plain = DiscreteOp(mu, n, h, base=False, corrected=False)
+        correction = DiscreteOp(mu, n, h, base=False)(f.values) - plain(f.values)
         ref = psi_integral(f, mu).values + correction
         # rounding scales with the summed magnitudes W|d|, not with the sum
         d = np.abs(np.diff(f.values)) / h

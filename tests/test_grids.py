@@ -23,6 +23,16 @@ def test_h_property():
     assert grid.h == pytest.approx(0.25, rel=1e-15)
 
 
+def test_grids_compare_and_hash_by_their_nodes():
+    # two builds are distinct objects with equal nodes: one dict key
+    kernel = make_builtin("sqrt_shift", (1.0,), (0.0, 3.0))
+    first, second = (TransformedGrid.build(kernel, 0.0, 3.0, 64) for _ in range(2))
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert {first: "first", second: "second"} == {first: "second"}
+    assert first != TransformedGrid.build(kernel, 0.0, 3.0, 65)
+
+
 def test_interval_must_sit_in_kernel_domain():
     kernel = make_builtin("identity", (), (0.0, 1.0))
     with pytest.raises(ValueError):

@@ -80,7 +80,7 @@ def test_infinite_input_rejected(make):
 OVERFLOW_CASES = {
     "kernel-exp-end": lambda: make_builtin("exp", (), (0.0, 800.0)),
     "kernel-power-end": lambda: make_builtin("power", (400.0,), (1.0, 10.0)),
-    "operator-scale": lambda: DiscreteOp(1.5, 4, 2.0e307),
+    "operator-scale": lambda: DiscreteOp(0.5, 4, 2.0e307),
     "bound-span-power": lambda: bound_constant_s(
         FracParams(0.5, 0.5), make_builtin("exp", (), (0.0, 709.0)), 0.0, 709.0
     ),
@@ -96,7 +96,7 @@ def test_overflow_rejected(make):
 
 
 UNDERFLOW_CASES = {
-    "operator-scale": lambda: DiscreteOp(1.5, 4, 1e-300),
+    "operator-scale": lambda: DiscreteOp(0.5, 4, 1e-300),
     "bound-span-power": lambda: bound_constant_s(FracParams(0.5, 0.5), _unit(), 0.0, 1e-250),
 }
 

@@ -16,7 +16,7 @@ from psifrac import (
     psi_frac_integral,
 )
 from psifrac import _quadrature
-from psifrac.frac_ops import _composed_op
+from psifrac._quadrature import DiscreteOp
 
 G = math.gamma
 
@@ -253,7 +253,7 @@ class TestTDependentContract:
         trace = picard_solve(problem, tol=1e-12)
         assert trace.converged
         grid = trace.solution.grid
-        op = _composed_op(problem.p, grid)
+        op = DiscreteOp(problem.p.mu, grid.n, grid.h)
         phi = x = np.sin(grid.x_nodes)
         for _ in range(trace.iterations):
             x = phi + np.array([op(w(t, grid.x_nodes, x))[i] for i, t in enumerate(grid.x_nodes)])

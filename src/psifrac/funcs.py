@@ -17,6 +17,7 @@ and ``one`` is the constant kernel.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -54,7 +55,7 @@ _FAMILIES = {
 def _family(head: str, args: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
     """The shared family ``head`` with ``args``, or None if there is none."""
     count, make = _FAMILIES.get(head, (None, None))
-    if len(args) == count and not np.all(np.isfinite(args)):
+    if len(args) == count and not all(map(math.isfinite, args)):
         raise ValueError(f"function id {head!r} needs finite arguments, got {args}")
     return make(*args) if len(args) == count else None
 

@@ -47,13 +47,17 @@ class TransformedGrid:
             )
         if n < 1:
             raise ValueError("need at least one subinterval")
-        tau = np.linspace(float(kernel.eval(a)), float(kernel.eval(b)), n + 1)
+        # np.linspace's own arithmetic, without its wrapper: i * step + ta,
+        # the last node pinned to tb
+        ta, tb = float(kernel.eval(a)), float(kernel.eval(b))
+        tau = np.arange(n + 1.0) * ((tb - ta) / n) + ta
+        tau[-1] = tb
         # psi may underflow to 0 at a, where an inverse such as log warns; the
         # ends are pinned and a non-finite interior node fails the check below
         with np.errstate(all="ignore"):
             x = np.asarray(kernel.inverse(tau), dtype=float)
         x[0], x[-1] = a, b  # pin the endpoints against inverse round-off
-        if not np.all(np.diff(x) > 0):
+        if not (x[1:] > x[:-1]).all():
             raise ValueError(f"kernel {kernel.name!r} produced non-increasing x nodes")
         return cls(kernel, a, b, n, _frozen(tau), _frozen(x))
 
@@ -95,7 +99,7 @@ class SampledFunction:
             raise ValueError(
                 f"expected {self.grid.n + 1} values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("sampled values must all be finite")
         object.__setattr__(self, "values", vals)
 

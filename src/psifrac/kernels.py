@@ -8,6 +8,7 @@ the single point where the choice of ``psi`` enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -45,7 +46,7 @@ class PsiKernel:
             raise KernelError(
                 f"kernel {self.name!r}: empty domain [{self.x_lo}, {self.x_hi}]"
             )
-        if not np.all(np.isfinite((self.x_lo, self.x_hi))):
+        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
             raise KernelError(f"kernel {self.name!r}: infinite domain [{self.x_lo}, {self.x_hi}]")
         with np.errstate(all="ignore"):  # a NaN psi is left to ``validate`` to report
             if np.isinf(self.eval(np.array([self.x_lo, self.x_hi]))).any():
@@ -138,10 +139,10 @@ def _z(kernel: PsiKernel, a: float, x):
     closed form, function id and the Malthus curve; raises ValueError if a z
     is negative (x before the base a) or NaN.  psi increases, so x >= a is
     checked first and psi is never evaluated before the base."""
-    if not np.all(np.asarray(x) >= a):
+    if not (np.asarray(x) >= a).all():
         raise ValueError(f"need z >= 0 for z = psi(x) - psi(a), got x = {np.min(x):g} < a = {a:g}")
     z = np.asarray(kernel.eval(x), dtype=float) - float(kernel.eval(a))
-    if not np.all(z >= 0.0):
+    if not (z >= 0.0).all():
         raise ValueError(f"need z >= 0 for z = psi(x) - psi(a), got z = {np.min(z):g}")
     return z
 

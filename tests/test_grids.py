@@ -17,6 +17,26 @@ def test_tau_uniform_and_x_increasing(kid, a, b):
     assert grid.x_nodes[0] == a and grid.x_nodes[-1] == b
 
 
+# one domain per builtin family; psi(a) is 0 for identity and log
+@pytest.mark.parametrize(
+    "family,params,a,b",
+    [
+        ("identity", (), 0.0, 1.0),
+        ("sqrt_shift", (1.0,), 0.0, 3.0),
+        ("log", (), 1.0, np.e),
+        ("exp", (), -0.5, 2.0),
+        ("power", (2.0,), 0.5, 1.5),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 7, 513, 65536])
+def test_tau_nodes_are_linspace_bit_for_bit(family, params, a, b, n):
+    # the build forms tau with np.linspace's own arithmetic, not its wrapper
+    kernel = make_builtin(family, params, (a, b))
+    grid = TransformedGrid.build(kernel, a, b, n)
+    ref = np.linspace(float(kernel.eval(a)), float(kernel.eval(b)), n + 1)
+    assert grid.tau_nodes.tobytes() == ref.tobytes()
+
+
 def test_h_property():
     kernel = make_builtin("identity", (), (0.0, 2.0))
     grid = TransformedGrid.build(kernel, 0.0, 2.0, 8)

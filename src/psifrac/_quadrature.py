@@ -22,7 +22,7 @@ sum_{p+q=m} D_q T_p, overlap-added with its neighbour's.  The stages start
 at lo = 128 and each ends where the next begins.  All but the last are one
 partition of b = 4 lo (lo = 128, 512, 2048, ...); the last covers the rest
 with at most eight partitions of length top, the smallest power of two
->= n/8, at least 512 and at most the smallest 2^k or 3 2^(k-2) >= n.  So
+>= n/8, at least 512 and at most n rounded up to a power of two.  So
 outputs 0..512 are the same for every n >= 512.  An apply costs
 O(n log n).  FFT rounding scales with the largest product it sums, so an
 output's error scales with the products that reach its own stage or
@@ -77,16 +77,14 @@ _MAX_PARTS = 8
 
 # correction rows 1.._NEAR_K: one _NEAR_NODES-point rule per cell and a
 # _NEAR_TERMS-term series; later rows: the rule in 1/(k - _FAR_CENTRE), about
-# the cells' midpoint, _FAR_CHUNK at a time, in tiers of at least _TIER_ROWS
-# rows that keep fewer terms
+# the cells' midpoint, _FAR_CHUNK at a time
 _NEAR_K = 68
 _NEAR_NODES = 16
 _NEAR_TERMS = 48
-_FAR_CENTRE = CORRECTION_CELLS // 2
+_FAR_CENTRE = CORRECTION_CELLS / 2
 # v^m q_j has degree 2m + 3 in u, so the rule integrates m <= _NEAR_NODES - 2
 _FAR_TERMS = _NEAR_NODES - 1
 _FAR_CHUNK = 4096
-_TIER_ROWS = 1024
 
 
 def _pwconst_kernel(s: float, n: int) -> np.ndarray:
@@ -97,12 +95,6 @@ def _pwconst_kernel(s: float, n: int) -> np.ndarray:
     return v
 
 
-def _fft_size(m: int) -> int:
-    """The smallest 2^k or 3 2^(k-2) that is >= m."""
-    p = 1 << (m - 1).bit_length()
-    return 3 * p // 4 if 3 * p // 4 >= m else p
-
-
 def _stages(n: int) -> list[tuple[int, int, int]]:
     """(lo, b, count) per stage: outputs lo+1..min(n, count b) from ``count``
     partitions of length b of the slopes and the table, each transformed at
@@ -110,8 +102,8 @@ def _stages(n: int) -> list[tuple[int, int, int]]:
     begins; all but the last are one partition of b = _LEVEL_RATIO lo, and
     the last covers the rest with at most _MAX_PARTS of length ``top``, the
     smallest power of two >= n / _MAX_PARTS, at least _MIN_PART and at most
-    the smallest 2^k or 3 2^(k-2) >= n (which binds below n = _MIN_PART)."""
-    top = min(max(_MIN_PART, 1 << (-(-n // _MAX_PARTS) - 1).bit_length()), _fft_size(n))
+    n rounded up to a power of two."""
+    top = min(max(_MIN_PART, 1 << (-(-n // _MAX_PARTS) - 1).bit_length()), 1 << (n - 1).bit_length())
     stages, lo = [], _DIRECT_N
     while lo < n:
         b = min(_LEVEL_RATIO * lo, top)
@@ -151,40 +143,11 @@ def _rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 _NEAR_LOG, _NEAR_W, _MOMENTS, _NEAR_SERIES = _rule_tables()
 _D2_SQRT = np.diff(np.sqrt(np.arange(CORRECTION_CELLS + 2.0)), 2)  # Δ²sqrt(j)
 _SERIES_M = np.arange(1.0, _NEAR_TERMS + 1.0)
-_MOMENTS_T = np.ascontiguousarray(_MOMENTS.T)
 # flat indices of the near block's diagonal, the entries at k = j + 1
 _DIAGONAL = slice(0, CORRECTION_CELLS * (CORRECTION_CELLS + 1), CORRECTION_CELLS + 1)
 
 
-def _far_tiers() -> list[tuple[int, int]]:
-    """(first row, terms) per tier of the far rows.  From row k on, r =
-    |v - c| / (k - c) <= c / (k - c), and the terms past the first T sum to
-    about (T + 1) r^T of the column.  Each tier keeps the fewest terms that
-    hold this to its value at the first far row with all _FAR_TERMS.  Tiers
-    start where k - c passes 2^m + 1 and span at least _TIER_ROWS rows, so
-    rows up to _TIER_ROWS + c keep all the terms: a tier of fewer rows drops
-    less work than its own product costs."""
-
-    def tail(k: int, terms: int) -> float:
-        return (terms + 1) * (_FAR_CENTRE / (k - _FAR_CENTRE)) ** terms
-
-    cut = tail(_NEAR_K + 1, _FAR_TERMS)
-    tiers = [(_NEAR_K + 1, _FAR_TERMS)]
-    k = _TIER_ROWS + 1 + _FAR_CENTRE
-    while tiers[-1][1] > 1:
-        terms = tiers[-1][1]
-        while terms > 1 and tail(k, terms - 1) <= cut:
-            terms -= 1
-        if terms < tiers[-1][1]:
-            tiers.append((k, terms))
-        k = 2 * k - _FAR_CENTRE - 1
-    return tiers
-
-
-_FAR_TIERS = _far_tiers()
-
-
-def _correction_block(s: float, n: int, h: float, node_powers: np.ndarray | None = None) -> np.ndarray:
+def _correction_block(s: float, n: int, h: float) -> np.ndarray:
     """Start correction as one (n + 1, cells) block: row k times the data's
     first ``cells`` second differences is the correction at node k, 0 at k = 0.
 
@@ -195,12 +158,8 @@ def _correction_block(s: float, n: int, h: float, node_powers: np.ndarray | None
     h^(s-1)/Gamma(s).  One rule makes it (s-1) sum_i W_ji (k-v_ji)^(s-2), a sum
     of positive terms: direct for j+2 <= k <= _NEAR_K, one exp of the tabulated
     logs, and past that expanded about c = _FAR_CENTRE in 1/(k-c), (k-c)^(s-2)
-    sum_m (s-1) C(s-2,m) (-1)^m Q[j,m] (k-c)^-m.  Row k keeps the T terms of
-    its tier in _FAR_TIERS: 15 up to row 1028, then 8 from row 1029, 7 from
-    2053, 6 from 4101 and 5 from 16389.  With r = |v-c|/(k-c) <= 4/(k-4) the
-    tail is below (T+1) r^T, at most 16 (4/65)^15 = 1.1e-17 of the column, its
-    value at row 69.  (k-c)^(s-2) is k^(s-1) at node k-c, node_powers[k-c-1]
-    (the base column's powers, made here if not given), divided by k-c.
+    sum_m (s-1) C(s-2,m) (-1)^m Q[j,m] (k-c)^-m, cut after _FAR_TERMS terms
+    (|v-c|/(k-c) <= 8/129: the tail is below 2e-17 of the column).
 
     At k = j+1 >= 2 the series of sqrt(j+1-t) and q_j(j+1) = 0 give (s-1)/s
     sum_{m>=2} b_m (m-1)/(s+m-1), b_m = sqrt(j+1) |C(1/2,m)| (j+1)^-m.
@@ -233,44 +192,21 @@ def _correction_block(s: float, n: int, h: float, node_powers: np.ndarray | None
     np.multiply(cols[:near, :cells], col_scale, out=block[1 : near + 1])
 
     if n > near:
-        if node_powers is None:
-            # (s - 2.0) + 1.0 is exact: divided by k, these have the near
-            # rows' exponent s - 2.0
-            node_powers = np.arange(1.0, n + 1.0) ** ((s - 2.0) + 1.0)
         # (s-1) C(s-2,m) (-1)^m = (s-1) prod_{i<=m} (i+1-s)/i
         coef = [s - 1.0]
         for m in range(1, _FAR_TERMS):
             coef.append(coef[-1] * ((m + 1.0 - s) / m))
-        coef = np.multiply(_MOMENTS_T, np.array(coef)[:, None])
-        coef *= col_scale
+        coef = np.array(coef)[:, None] * _MOMENTS.T * col_scale
         scratch = scratch[: _FAR_TERMS * width].reshape(_FAR_TERMS, width)
         for lo in range(near, n, _FAR_CHUNK):
             hi = min(lo + _FAR_CHUNK, n)
             x = np.arange(lo + 1.0 - _FAR_CENTRE, hi + 1.0 - _FAR_CENTRE)  # k - c
             powers = scratch[:, : x.size]
-            np.divide(node_powers[lo - _FAR_CENTRE : hi - _FAR_CENTRE], x, out=powers[0])
+            np.power(x, s - 2.0, out=powers[0])
             np.divide(1.0, x, out=x)  # 1/(k - c)
-            # the pass's tiers from its last back to its first: each forms the
-            # powers that its terms add on the rows up to its end, a prefix of
-            # the pass, then its product
-            stop, formed = hi - lo, 1
-            for first, terms in reversed(_FAR_TIERS):
-                start = max(first - lo - 1, 0)
-                if start >= stop:
-                    continue
-                rows, xs = powers[:, :stop], x[:stop]
-                for m in range(formed, terms):
-                    np.multiply(rows[m - 1], xs, out=rows[m])
-                formed = terms
-                if stop - start > 1:
-                    np.matmul(rows[:terms, start:].T, coef[:terms], out=block[lo + 1 + start : lo + 1 + stop])
-                else:
-                    # one row would be a matrix-vector product, whose sums
-                    # round apart from a matrix product's: two copies of it
-                    block[lo + 1 + start] = np.matmul(rows[:terms, [start, start]].T, coef[:terms])[0]
-                if start == 0:
-                    break
-                stop = start
+            for m in range(1, _FAR_TERMS):
+                np.multiply(powers[m - 1], x, out=powers[m])
+            np.matmul(powers.T, coef, out=block[lo + 1 : hi + 1])
     return block
 
 
@@ -295,18 +231,14 @@ class DiscreteOp:
             raise ValueError(f"operator scale h^s overflows at h = {h:g}, s = {s:g}") from None
         if hs == 0.0:
             raise ValueError(f"operator scale h^s underflows at h = {h:g}, s = {s:g}")
-        # k^order at nodes 1..n: the correction's far field reads them, then
-        # they are scaled in place into the base column.  The block comes
-        # before the stage transforms, so its scratch never coexists with them
-        self._base = powers = None
-        if base or corrected:
-            powers = np.empty(n + 1)
-            powers[0] = 0.0
-            np.power(np.arange(1.0, n + 1.0), order, out=powers[1:])
-        self._block = _correction_block(s, n, h, powers[1:]) if corrected else np.zeros((n + 1, 0))
+        # the block comes before the stage transforms, so its scratch never
+        # coexists with them
+        self._block = _correction_block(s, n, h) if corrected else np.zeros((n + 1, 0))
+        self._base = None
         if base:
-            powers[1:] *= h**order / math.gamma(s)
-            self._base = powers
+            self._base = np.zeros(n + 1)
+            z = np.arange(1, n + 1, dtype=float) * h
+            self._base[1:] = z**order / math.gamma(order + 1.0)
         # per stage the table's partitions, zero-padded past node n,
         # transformed at 2b in one call
         stages = _stages(n)

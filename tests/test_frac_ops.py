@@ -30,14 +30,11 @@ from psifrac._quadrature import (
     _DIRECT_N,
     _FAR_CENTRE,
     _FAR_CHUNK,
-    _FAR_TERMS,
-    _FAR_TIERS,
     _LEVEL_RATIO,
     _MAX_PARTS,
     _MIN_PART,
     _NEAR_K,
     _NEAR_NODES,
-    _TIER_ROWS,
     _correction_block,
     _pwconst_kernel,
     _stages,
@@ -272,7 +269,7 @@ class TestSlopeIntegral:
     @pytest.mark.parametrize("s", [0.05, 0.5, 1.5, 1.95])
     # 1025, 2049, 4097, 8193 and 16385 end in a one-node partition; 3000,
     # 4100 and 5001 in a partial one; 200, 300 and 511 are one partial
-    # partition of 256, 384 or 512
+    # partition of 256 or 512
     @pytest.mark.parametrize(
         "n", sorted({*STAGE_EDGES, 200, 300, 511, 1025, 2049, 3000, 4097, 4100, 8192, 8193, 16385})
     )
@@ -342,25 +339,22 @@ class TestSlopeIntegral:
         assert out[: _MIN_PART + 1].tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize(
-        "n", [1, 128, 129, 192, 193, 200, 257, 384, 385, 511, 512, 513, 2048, 4096, 4097, 4100, 8192, 16384,
-              16385, 65535, 65536]
+        "n", [1, 128, 129, 200, 511, 512, 513, 2048, 4096, 4097, 4100, 8192, 16384, 16385, 65535, 65536]
     )
     def test_partition_rule(self, n):
         # the stages run on from _DIRECT_N, each starting where the last
-        # ended: one partition of 4 lo per stage, then at most 8 of top, which
-        # end at or past n.  Partitions are powers of two, but for a top below
-        # _MIN_PART that is 3 2^(k-2), the smallest such length covering n
+        # ended, with power-of-two partitions: one of 4 lo per stage, then at
+        # most 8 of top, which end at or past n
         stages = _stages(n)
         if n <= _DIRECT_N:
             assert stages == []
-        covering = min(size for k in range(2, 40) for size in (2**k, 3 * 2 ** (k - 2)) if size >= n)
         lo = _DIRECT_N
         for start, b, count in stages:
-            assert start == lo and (b & (b - 1) == 0 or b == covering < _MIN_PART)
+            assert start == lo and b & (b - 1) == 0
             lo = count * b
         if stages:
             *head, (_, top, count) = stages
-            assert top == min(max(_MIN_PART, 2 ** math.ceil(math.log2(n / _MAX_PARTS))), covering)
+            assert top == min(max(_MIN_PART, 2 ** math.ceil(math.log2(n / _MAX_PARTS))), 2 ** math.ceil(math.log2(n)))
             assert all(count == 1 and b == _LEVEL_RATIO * start < top for start, b, count in head)
             assert count <= _MAX_PARTS and (count - 1) * top < n <= count * top
         # the operator holds each stage's table partitions, zero-padded past
@@ -447,26 +441,6 @@ class TestStartCorrection:
         # the first expanded row on, v in the cells [0, CORRECTION_CELLS]
         assert max(_FAR_CENTRE, CORRECTION_CELLS - _FAR_CENTRE) / (_NEAR_K + 1 - _FAR_CENTRE) <= 8 / 129
 
-    def test_far_tiers_keep_the_first_rows_tail_bound(self):
-        # a tier from row k keeps T terms; its tail is below (T + 1) r^T, r =
-        # |v - c| / (k - c), at most the first expanded row's with all terms.
-        # The tiers start at that row, then where k - c passes 2^m + 1 with
-        # at least _TIER_ROWS rows before the next, drop terms as k grows,
-        # and each drops as many as the bound allows at its first row
-        half = max(_FAR_CENTRE, CORRECTION_CELLS - _FAR_CENTRE)
-
-        def tail(k, terms):
-            return (terms + 1) * (half / (k - _FAR_CENTRE)) ** terms
-
-        first = tail(_NEAR_K + 1, _FAR_TERMS)
-        assert _FAR_TIERS[0] == (_NEAR_K + 1, _FAR_TERMS)
-        assert all(a < b and s > t for (a, s), (b, t) in zip(_FAR_TIERS, _FAR_TIERS[1:]))
-        steps = [k - _FAR_CENTRE - 1 for k, _ in _FAR_TIERS[1:]]
-        assert all(m & (m - 1) == 0 and m >= _TIER_ROWS for m in steps)
-        for k, terms in _FAR_TIERS:
-            assert tail(k, terms) <= first, (k, terms)
-            assert terms == 1 or tail(k, terms - 1) > first, (k, terms)
-
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.999, 1.001, 1.5, 1.95, 2.0])
     def test_far_rows_match_direct_rule(self, s):
         # past _NEAR_K the block is the near rows' rule expanded in 1/(k - c): it
@@ -474,7 +448,7 @@ class TestStartCorrection:
         # W = w 2u q_j(u) du/dx at the Gauss-Legendre nodes u = sqrt(v); one
         # chunk at n = 600, and a full chunk then a one-row chunk at the next
         # n, so the rows on both sides of the chunk edge are gated; n = 12289
-        # crosses every tier edge below it and two chunk edges
+        # takes three chunks
         x, w = np.polynomial.legendre.leggauss(_NEAR_NODES)
         for n in (600, _NEAR_K + _FAR_CHUNK + 1, 12289):
             block = _correction_block(s, n, 1.0)
